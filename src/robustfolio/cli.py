@@ -18,9 +18,10 @@ import numpy as np
 
 from .closed_form import NoTradePolicy, NoTradeRegion, merton_weight
 from .evaluation import (EvalReport, discount, histogram_report,
-                         pooled_min_utility, reference_report, relative_error,
-                         simulate_scenario, write_reports_csv)
-from .market import NoiseIncrements, make_noisy_pool
+                         pooled_min_utilities, pooled_min_utility,
+                         reference_report, relative_error, simulate_scenario,
+                         write_reports_csv)
+from .market import MarketError, NoiseIncrements, make_noisy_pool
 from .nets import NeuralPolicy, load_checkpoint
 from .portfolio import CashPolicy, ConstantWeightPolicy, roll_out
 from .presets import PRESETS, ExperimentConfig, RunSpec, benchmark_solution, resolve
@@ -60,11 +61,16 @@ def _write_config(cfg: ExperimentConfig, spec: RunSpec, run_dir: str) -> None:
 
 
 def _ensure_data(spec: RunSpec, run_dir: str) -> NoiseIncrements:
+    """Load the run's increments, regenerating a missing, corrupt or
+    mismatched file."""
     path = os.path.join(run_dir, "increments.bin")
     if os.path.exists(path):
-        inc = NoiseIncrements.load(path)
-        if inc.n_paths == spec.n_paths and inc.n_steps == spec.grid.n_steps:
-            return inc
+        try:
+            inc = NoiseIncrements.load(path)
+            if inc.n_paths == spec.n_paths and inc.n_steps == spec.grid.n_steps:
+                return inc
+        except MarketError:
+            pass  # unreadable: regenerate below
     inc = NoiseIncrements.generate(spec.seed, spec.n_paths, spec.grid.n_steps,
                                    spec.market.d)
     inc.save(path)
@@ -170,9 +176,14 @@ def cmd_evaluate(args) -> int:
     nn = _trained_policy(spec, run_dir)
     if nn is not None:
         policies["nn"] = nn
-    pool = _eval_pool(spec)
-    scenario = _eval_market(spec)
-    paths = simulate_scenario(scenario, spec.grid, spec.market.s0,
+    pooled = {}
+    if not args.skip_pool:
+        pooled = pooled_min_utilities(policies, _eval_pool(spec), spec.grid,
+                                      spec.market.s0, spec.x0, spec.market.rate,
+                                      spec.costs, spec.utility, spec.eval_b_test,
+                                      seed=spec.seed + 13)
+    sol = benchmark_solution(spec.raw)
+    paths = simulate_scenario(_eval_market(spec), spec.grid, spec.market.s0,
                               spec.eval_b_ref, spec.seed + 11)
     reports = []
     for name, policy in sorted(policies.items()):
@@ -193,14 +204,10 @@ def cmd_evaluate(args) -> int:
                                                                method="lower"))
             rep.wealth_mean, rep.wealth_std, rep.wealth_skew = (
                 hist.mean, hist.std, hist.skewness)
-        if not args.skip_pool:
-            res = pooled_min_utility(policy, pool, spec.grid, spec.market.s0,
-                                     spec.x0, spec.market.rate, spec.costs,
-                                     spec.utility, spec.eval_b_test,
-                                     seed=spec.seed + 13)
+        if name in pooled:
+            res = pooled[name]
             rep.m_u, rep.m_u_argmin, rep.n_pool = res.m_u, res.argmin, res.n_pool
             rep.m_u_stderr = res.estimates[res.argmin].std_error
-        sol = benchmark_solution(spec.raw)
         if sol is not None and name == "nn":
             err = relative_error(policy, sol, sol.drift, sol.cov, spec.grid,
                                  spec.market.s0, spec.x0, spec.market.rate,
@@ -343,9 +350,8 @@ def cmd_run(args) -> int:
     spec = resolve(cfg)
     run_dir = _run_dir(args, spec)
     _write_config(cfg, spec, run_dir)
-    _ensure_data(spec, run_dir)
+    inc = _ensure_data(spec, run_dir)
     if not spec.no_train and not _training_complete(run_dir, spec.train_config.epochs):
-        inc = NoiseIncrements.load(os.path.join(run_dir, "increments.bin"))
         z_train, z_val = _split(spec, inc)
         train(spec.train_config, z_train, z_val, out_dir=run_dir, resume=True)
     report_path = os.path.join(run_dir, "report.csv")

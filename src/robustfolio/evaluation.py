@@ -21,13 +21,9 @@ from .closed_form import SaddleSolution
 from .garch import GarchModel, simulate_garch
 from .market import (ConstantParams, NoiseIncrements, NoisyMarketScenario,
                      PathBatch, ReferenceMarket, StudentTMarket, TimeGrid,
-                     simulate_euler, simulate_student_t)
+                     simulate_euler, simulate_student_t, substream)
 from .portfolio import ConstantWeightPolicy, CostSpec, Policy, roll_out
 from .utility import PowerUtility
-
-
-def _substream(seed: int, k: int) -> int:
-    return int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
 
 
 def simulate_scenario(scenario, grid: TimeGrid, s0, n_paths: int,
@@ -91,25 +87,39 @@ class PoolResult:
         return len(self.estimates)
 
 
-def pooled_min_utility(policy: Policy, pool, grid: TimeGrid, s0, x0: float,
-                       rate: float, costs: CostSpec, utility: PowerUtility,
-                       b_test: int, seed: int) -> PoolResult:
-    """Worst-case expected utility across a scenario pool.
+def pooled_min_utilities(policies: dict[str, Policy], pool, grid: TimeGrid, s0,
+                         x0: float, rate: float, costs: CostSpec,
+                         utility: PowerUtility, b_test: int,
+                         seed: int) -> dict[str, PoolResult]:
+    """Worst-case expected utility across a scenario pool, for each policy.
 
-    Scenario j uses the deterministic substream (seed, j), so two policies
-    evaluated with the same seed see identical paths.
+    Scenario j is simulated once, on the deterministic substream (seed, j),
+    and every policy is rolled out on those same paths; a policy's result
+    does not depend on which other policies are scored with it.
     """
     if len(pool) < 1:
         raise ValueError("pool must contain at least one scenario")
-    estimates = []
+    estimates = {name: [] for name in policies}
     for j, scenario in enumerate(pool):
-        estimates.append(expected_utility(policy, scenario, grid, s0, x0, rate,
-                                          costs, utility, b_test,
-                                          _substream(seed, j)))
-    values = np.array([e.value for e in estimates])
-    argmin = int(np.argmin(values))
-    return PoolResult(m_u=float(values[argmin]), argmin=argmin,
-                      estimates=tuple(estimates))
+        paths = simulate_scenario(scenario, grid, s0, b_test, substream(seed, j))
+        for name, policy in policies.items():
+            estimates[name].append(expected_utility_on(policy, paths, x0, rate,
+                                                       costs, utility))
+    results = {}
+    for name, ests in estimates.items():
+        values = np.array([e.value for e in ests])
+        argmin = int(np.argmin(values))
+        results[name] = PoolResult(m_u=float(values[argmin]), argmin=argmin,
+                                   estimates=tuple(ests))
+    return results
+
+
+def pooled_min_utility(policy: Policy, pool, grid: TimeGrid, s0, x0: float,
+                       rate: float, costs: CostSpec, utility: PowerUtility,
+                       b_test: int, seed: int) -> PoolResult:
+    """Worst-case expected utility of one policy across a scenario pool."""
+    return pooled_min_utilities({"policy": policy}, pool, grid, s0, x0, rate,
+                                costs, utility, b_test, seed)["policy"]
 
 
 @dataclass(frozen=True)

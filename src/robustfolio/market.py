@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -116,6 +117,11 @@ class ReferenceMarket:
 # ----------------------------------------------------------------------
 # driving noise
 # ----------------------------------------------------------------------
+def substream(seed: int, k: int) -> int:
+    """Seed of the k-th independent substream derived from ``seed``."""
+    return int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
+
+
 @dataclass
 class NoiseIncrements:
     """Pre-generated standard-normal increments, shape (paths, steps, d).
@@ -143,12 +149,22 @@ class NoiseIncrements:
     @classmethod
     def generate(cls, seed: int, n_paths: int, n_steps: int, d: int,
                  first_path: int = 0) -> "NoiseIncrements":
-        if seed < 0:
-            raise MarketError("seed must be non-negative")
+        if not 0 <= seed < 2**63:  # the file header stores it as int64
+            raise MarketError("seed must be in [0, 2**63)")
         z = np.empty((n_paths, n_steps, d), dtype=np.float64)
+        # One Philox re-keyed per path: the state below is that of a fresh
+        # Philox(key=[seed, path]), without its constructor's entropy draw.
+        key = [seed, first_path]
+        bits = np.random.Philox(key=key)
+        gen = np.random.Generator(bits)
+        fresh = {"bit_generator": "Philox",
+                 "state": {"counter": [0, 0, 0, 0], "key": key},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
         for i in range(n_paths):
-            gen = np.random.Generator(np.random.Philox(key=[seed, first_path + i]))
-            z[i] = gen.standard_normal((n_steps, d))
+            key[1] = first_path + i
+            bits.state = fresh
+            gen.standard_normal(out=z[i])
         return cls(z=z, seed=seed)
 
     def brownian(self, grid: TimeGrid) -> np.ndarray:
@@ -174,9 +190,17 @@ class NoiseIncrements:
             magic = fh.read(5)
             if magic != _MAGIC:
                 raise MarketError(f"not an increment file (magic {magic!r})")
-            d, n, b, seed = struct.unpack("<4q", fh.read(32))
-            z = np.frombuffer(fh.read(8 * b * n * d), dtype="<f8").reshape(b, n, d)
-        return cls(z=z.copy(), seed=seed)
+            header = fh.read(32)
+            if len(header) != 32:
+                raise MarketError(f"{path}: truncated header ({len(header)} of 32 bytes)")
+            d, n, b, seed = struct.unpack("<4q", header)
+            expected = 8 * d * n * b
+            actual = os.fstat(fh.fileno()).st_size - len(_MAGIC) - 32
+            if min(d, n, b) < 0 or actual != expected:
+                raise MarketError(f"{path}: header (d={d}, N={n}, B={b}) needs a "
+                                  f"{expected}-byte payload, file holds {actual} bytes")
+            z = np.fromfile(fh, dtype="<f8", count=b * n * d).reshape(b, n, d)
+        return cls(z=z, seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -211,15 +235,12 @@ class PathBatch:
     """Simulated asset paths on a grid, plus bookkeeping.
 
     ``s`` has shape (paths, n_steps+1, d) and starts at the initial price.
-    ``floored`` flags paths where the price floor was hit.  Per-step market
-    parameters are kept when the simulation is asked to record them.
+    ``floored`` flags paths where the price floor was hit.
     """
 
     grid: TimeGrid
     s: np.ndarray
     floored: np.ndarray
-    mu_steps: np.ndarray | None = None  # (B, N, d)
-    sigma_steps: np.ndarray | None = None  # (B, N, d, d)
 
     @property
     def n_paths(self) -> int:
@@ -234,8 +255,7 @@ class PathBatch:
         return self.s[:, -1, :]
 
 
-def simulate_euler(grid: TimeGrid, params, s0, increments: NoiseIncrements,
-                   record_params: bool = False) -> PathBatch:
+def simulate_euler(grid: TimeGrid, params, s0, increments: NoiseIncrements) -> PathBatch:
     """Euler path recursion in the multiplicative convention.
 
     ``params`` provides relative per-step coefficients via
@@ -254,8 +274,6 @@ def simulate_euler(grid: TimeGrid, params, s0, increments: NoiseIncrements,
     s = np.empty((b, n_steps + 1, d), dtype=np.float64)
     s[:, 0, :] = s0
     floored = np.zeros(b, dtype=bool)
-    mu_rec = np.empty((b, n_steps, d)) if record_params else None
-    sig_rec = np.empty((b, n_steps, d, d)) if record_params else None
     for n in range(n_steps):
         mu_n, sig_n = params.at(n, s[:, n, :])
         mu_n = np.asarray(mu_n, dtype=np.float64)
@@ -271,10 +289,7 @@ def simulate_euler(grid: TimeGrid, params, s0, increments: NoiseIncrements,
             floored |= low.any(axis=1)
             nxt = np.maximum(nxt, PRICE_FLOOR)
         s[:, n + 1, :] = nxt
-        if record_params:
-            mu_rec[:, n, :] = np.broadcast_to(mu_n, (b, d))
-            sig_rec[:, n, :, :] = np.broadcast_to(sig_n, (b, d, d))
-    return PathBatch(grid=grid, s=s, floored=floored, mu_steps=mu_rec, sigma_steps=sig_rec)
+    return PathBatch(grid=grid, s=s, floored=floored)
 
 
 # ----------------------------------------------------------------------

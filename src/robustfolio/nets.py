@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, as_col, concat, raw, reshape, tanh
+from .autodiff import as_col, concat, raw, reshape, tanh
 
 ARCHS = ("ffnn", "rnn", "time_grid")
 CHECKPOINT_VERSION = 1
@@ -68,9 +68,6 @@ class ParamSet:
                         m={k: v.copy() for k, v in self.m.items()},
                         v={k: v.copy() for k, v in self.v.items()},
                         step=self.step)
-
-    def as_tensors(self) -> dict[str, Tensor]:
-        return {k: Tensor(v) for k, v in self.arrays.items()}
 
     def flat(self) -> np.ndarray:
         return np.concatenate([self.arrays[k].ravel() for k in self.names])

@@ -19,13 +19,14 @@ far is snapshotted; training state is checkpointed for resumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Tensor, clip_floor, concat, raw, reshape, tsum
 from .market import (PRICE_FLOOR, ConstantParams, ReferenceMarket, TimeGrid,
-                     make_noisy_pool, simulate_euler, stack_scenarios)
+                     make_noisy_pool, simulate_euler, stack_scenarios,
+                     substream)
 from .nets import (NeuralPolicy, ParamSet, adam_step, build_net, forward_market,
                    forward_policy, load_checkpoint, lr_schedule, market_head_bias,
                    market_spec, policy_spec, save_checkpoint)
@@ -247,9 +248,9 @@ def validation_paths(cfg: TrainConfig, z_val):
 
         models = make_noisy_garch_pool(spec.garch_model, spec.garch_se_factor,
                                        spec.garch_corr_std, spec.b_val,
-                                       seed=_substream(cfg.seed, 2))
+                                       seed=substream(cfg.seed, 2))
         return simulate_garch_pool_single_paths(models, cfg.grid, cfg.market.s0,
-                                                seed=_substream(cfg.seed, 3))
+                                                seed=substream(cfg.seed, 3))
     if z_val is None:
         raise ValueError("validation requires a validation split")
     b_val = min(spec.b_val, z_val.n_paths)
@@ -262,13 +263,9 @@ def validation_paths(cfg: TrainConfig, z_val):
     else:
         pool = make_noisy_pool(cfg.market, spec.noise_kind, spec.vol_scale,
                                spec.drift_scale, b_val, cfg.grid,
-                               seed=_substream(cfg.seed, 2))
+                               seed=substream(cfg.seed, 2))
         params = stack_scenarios(pool)
     return simulate_euler(cfg.grid, params, cfg.market.s0, inc)
-
-
-def _substream(seed: int, k: int) -> int:
-    return int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
 
 
 def _grads_for(params: ParamSet, tensors: dict[str, Tensor],
@@ -401,8 +398,3 @@ def _write_artifacts(out_dir, cfg, gen, disc, best, history, shuffle_rng):
         for r in history:
             fh.write(f"{r.epoch},{r.gen_loss:.17g},{r.disc_loss:.17g},"
                      f"{r.val_metric:.17g},{r.lr:.17g}\n")
-
-
-def nonrobust_config(cfg: TrainConfig) -> TrainConfig:
-    """The lambda = infinity degeneration of a robust configuration."""
-    return replace(cfg, mode="non_robust", penalty=None)

@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from robustfolio import cli, evaluation
 from robustfolio.cli import main
-from robustfolio.market import NoiseIncrements
+from robustfolio.market import MarketError, NoiseIncrements
 from robustfolio.presets import (PRESETS, ExperimentConfig, benchmark_solution,
                                  config_hash, resolve)
 
@@ -128,6 +129,43 @@ class TestGenData:
         assert inc_path.read_bytes() == first
         cfg_doc = json.loads((tmp_path / run_dir / "config.json").read_text())
         assert cfg_doc["config_hash"] in run_dir
+
+    def test_truncated_file_is_regenerated(self, tmp_path, capsys):
+        args = ["gen-data", "--preset", "vol1d", "--scale", "0.002",
+                "--override", "batch_size=100", "--out", str(tmp_path)]
+        assert main(args) == 0
+        (run_dir,) = _run_dirs(tmp_path)
+        inc_path = tmp_path / run_dir / "increments.bin"
+        good = inc_path.read_bytes()
+        inc_path.write_bytes(good[:-100])
+        with pytest.raises(MarketError, match="increments.bin"):
+            NoiseIncrements.load(inc_path)
+        assert main(args) == 0
+        assert inc_path.read_bytes() == good
+
+
+def test_evaluate_simulates_each_scenario_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    simulate = evaluation.simulate_scenario
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "simulate_scenario", counting)
+    monkeypatch.setattr(cli, "simulate_scenario", counting)
+    out = tmp_path / "e"
+    assert main(["evaluate", "--preset", "ntc-small", "--scale", "0.002",
+                 "--override", "eval_b_ref=200", "--override", "eval_b_test=100",
+                 "--override", "eval_n_pool=3", "--out", str(out)]) == 0
+    (run_dir,) = _run_dirs(out)
+    rows = (out / run_dir / "report.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    reports = [dict(zip(header, r.split(","))) for r in rows[1:]]
+    assert {r["strategy"] for r in reports} == {"cash", "merton", "no-trade"}
+    (n_pool,) = {int(r["n_pool"]) for r in reports}
+    assert n_pool >= 2
+    assert len(calls) == n_pool + 1  # the pool, plus the reference paths
 
 
 @pytest.mark.slow

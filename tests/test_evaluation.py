@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from robustfolio.closed_form import solve_fully_robust
+from robustfolio.closed_form import (NoTradePolicy, NoTradeRegion,
+                                     solve_fully_robust)
 from robustfolio.evaluation import (EvalReport, UtilityEstimate, discount,
                                     expected_utility, histogram_report,
-                                    pooled_min_utility, reference_report,
+                                    pooled_min_utilities, pooled_min_utility,
+                                    reference_report,
                                     relative_error, simulate_scenario,
                                     value_at_risk, write_reports_csv)
 from robustfolio.garch import GarchModel
@@ -97,6 +99,18 @@ class TestPooledMin:
                                  PowerUtility(1.0), 200, seed=9)
         vals = [e.value for e in res.estimates]
         assert vals[res.argmin] == res.m_u
+
+    def test_one_pass_equals_separate_calls(self, grid, market):
+        pool = make_noisy_pool(market, "cumulative", 0.15, 0.02, 4, grid, seed=10)
+        region = NoTradeRegion.from_params(0.04, 0.35, 1.0, 0.01)
+        policies = {"cash": CashPolicy(), "constant": ConstantWeightPolicy(0.6),
+                    "no-trade": NoTradePolicy(region)}
+        args = (pool, grid, market.s0, 1.0, 0.015, CostSpec(c_prop=0.01),
+                PowerUtility(1.0), 300)
+        together = pooled_min_utilities(policies, *args, seed=11)
+        assert list(together) == list(policies)
+        for name, policy in policies.items():
+            assert together[name] == pooled_min_utility(policy, *args, seed=11)
 
     def test_empty_pool_rejected(self, grid, market):
         with pytest.raises(ValueError):

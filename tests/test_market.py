@@ -65,6 +65,19 @@ class TestIncrements:
         ])
         assert np.array_equal(whole.z, parts)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("first_path", [0, 1000])
+    def test_matches_fresh_philox_per_path(self, d, first_path):
+        inc = NoiseIncrements.generate(13, 6, 7, d, first_path=first_path)
+        for i in range(6):
+            gen = np.random.Generator(np.random.Philox(key=[13, first_path + i]))
+            assert inc.z[i].tobytes() == gen.standard_normal((7, d)).tobytes()
+
+    def test_seed_range_enforced(self):
+        for seed in (-1, 2**63):
+            with pytest.raises(MarketError, match="seed"):
+                NoiseIncrements.generate(seed, 1, 2, 1)
+
     def test_brownian_scaling(self, grid65):
         inc = NoiseIncrements.generate(1, 10, 65, 1)
         dw = inc.brownian(grid65)
@@ -82,6 +95,21 @@ class TestIncrements:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE!" + b"\0" * 64)
         with pytest.raises(MarketError, match="magic"):
+            NoiseIncrements.load(path)
+
+
+    def test_truncated_payload_rejected_with_sizes(self, tmp_path):
+        path = tmp_path / "inc.bin"
+        NoiseIncrements.generate(11, 4, 6, 2).save(path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-8])
+        with pytest.raises(MarketError, match=r"inc\.bin.*384-byte.*376 bytes"):
+            NoiseIncrements.load(path)
+        path.write_bytes(data + b"\0" * 8)
+        with pytest.raises(MarketError, match="392 bytes"):
+            NoiseIncrements.load(path)
+        path.write_bytes(data[:20])
+        with pytest.raises(MarketError, match="truncated header"):
             NoiseIncrements.load(path)
 
 
