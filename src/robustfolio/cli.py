@@ -14,16 +14,12 @@ import argparse
 import json
 import os
 
-import numpy as np
-
 from .closed_form import NoTradePolicy, NoTradeRegion, merton_weight
-from .evaluation import (EvalReport, discount, histogram_report,
-                         pooled_min_utilities, pooled_min_utility,
-                         reference_report, relative_error, simulate_scenario,
+from .evaluation import (evaluate_policies, pooled_min_utility, relative_error,
                          write_reports_csv)
 from .market import MarketError, NoiseIncrements, make_noisy_pool
 from .nets import NeuralPolicy, load_checkpoint
-from .portfolio import CashPolicy, ConstantWeightPolicy, roll_out
+from .portfolio import CashPolicy, ConstantWeightPolicy
 from .presets import PRESETS, ExperimentConfig, RunSpec, benchmark_solution, resolve
 from .training import train
 
@@ -150,10 +146,6 @@ def _benchmark_policies(spec: RunSpec) -> dict:
     return policies
 
 
-def _eval_market(spec: RunSpec):
-    return spec.student_t if spec.student_t is not None else spec.market
-
-
 def _eval_pool(spec: RunSpec):
     if spec.garch_model is not None:
         from .garch import make_noisy_garch_pool
@@ -167,57 +159,44 @@ def _eval_pool(spec: RunSpec):
                            seed=spec.seed + 7)
 
 
+def _evaluate(spec: RunSpec, run_dir: str, pool_seed: int,
+              skip_pool: bool = False, bins: int = 50):
+    """Score the benchmark strategies and the trained policy, if any, on the
+    reference paths (seed + 11) and on the evaluation pool (``pool_seed``)."""
+    policies = _benchmark_policies(spec)
+    nn = _trained_policy(spec, run_dir)
+    if nn is not None:
+        policies["nn"] = nn
+    scenario = spec.student_t if spec.student_t is not None else spec.market
+    reports, histograms = evaluate_policies(
+        policies, scenario, spec.grid, spec.market.s0, spec.x0,
+        spec.market.rate, spec.costs, spec.utility, spec.eval_b_ref,
+        spec.seed + 11, spec.alpha, pool=None if skip_pool else _eval_pool(spec),
+        pool_b_test=spec.eval_b_test, pool_seed=pool_seed, bins=bins)
+    return policies, reports, histograms
+
+
 def cmd_evaluate(args) -> int:
     cfg = _experiment_config(args)
     spec = resolve(cfg)
     run_dir = _run_dir(args, spec)
     _write_config(cfg, spec, run_dir)
-    policies = _benchmark_policies(spec)
-    nn = _trained_policy(spec, run_dir)
-    if nn is not None:
-        policies["nn"] = nn
-    pooled = {}
-    if not args.skip_pool:
-        pooled = pooled_min_utilities(policies, _eval_pool(spec), spec.grid,
-                                      spec.market.s0, spec.x0, spec.market.rate,
-                                      spec.costs, spec.utility, spec.eval_b_test,
-                                      seed=spec.seed + 13)
+    policies, reports, histograms = _evaluate(spec, run_dir, spec.seed + 13,
+                                              args.skip_pool, args.bins)
     sol = benchmark_solution(spec.raw)
-    paths = simulate_scenario(_eval_market(spec), spec.grid, spec.market.s0,
-                              spec.eval_b_ref, spec.seed + 11)
-    reports = []
-    for name, policy in sorted(policies.items()):
-        ledger = roll_out(policy, paths, spec.x0, spec.market.rate, spec.costs)
-        u = spec.utility(ledger.terminal)
-        defaults = int(np.count_nonzero(np.isneginf(u)))
-        rep = EvalReport(strategy=name, alpha=spec.alpha, b_test=spec.eval_b_ref,
-                         n_defaults=defaults)
-        if defaults:
-            rep.e_u = float("-inf")
-        else:
-            rep.e_u = float(np.mean(u))
-            rep.e_u_stderr = float(np.std(u, ddof=1) / np.sqrt(len(u)))
-            disc = discount(ledger.terminal, spec.market.rate, spec.grid.horizon)
-            hist = histogram_report(disc, bins=args.bins)
-            hist.export_csv(os.path.join(run_dir, f"histogram_{name}.csv"))
-            rep.var_alpha = float(spec.x0) - float(np.quantile(disc, spec.alpha,
-                                                               method="lower"))
-            rep.wealth_mean, rep.wealth_std, rep.wealth_skew = (
-                hist.mean, hist.std, hist.skewness)
-        if name in pooled:
-            res = pooled[name]
-            rep.m_u, rep.m_u_argmin, rep.n_pool = res.m_u, res.argmin, res.n_pool
-            rep.m_u_stderr = res.estimates[res.argmin].std_error
+    for rep in reports:
+        name = rep.strategy
         if sol is not None and name == "nn":
-            err = relative_error(policy, sol, sol.drift, sol.cov, spec.grid,
+            err = relative_error(policies[name], sol, sol.drift, sol.cov, spec.grid,
                                  spec.market.s0, spec.x0, spec.market.rate,
                                  spec.costs, spec.utility, spec.eval_b_test,
                                  seed=spec.seed + 17)
             rep.err_rel = err.err_rel
             rep.err_rel_benchmark = sol.system
+        if name in histograms:
+            histograms[name].export_csv(os.path.join(run_dir, f"histogram_{name}.csv"))
         rep.to_json(os.path.join(run_dir, f"report_{name}.json"),
                     extra={"config_hash": spec.config_hash, "seed": spec.seed})
-        reports.append(rep)
     write_reports_csv(reports, os.path.join(run_dir, "report.csv"))
     for rep in reports:
         print(rep.csv_row())
@@ -254,17 +233,7 @@ def cmd_compare_ref(args) -> int:
     spec = resolve(cfg)
     run_dir = _run_dir(args, spec)
     _write_config(cfg, spec, run_dir)
-    policies = _benchmark_policies(spec)
-    nn = _trained_policy(spec, run_dir)
-    if nn is not None:
-        policies["nn"] = nn
-    pool = _eval_pool(spec)
-    reports = [reference_report(policy, name, spec.market, spec.grid,
-                                spec.x0, spec.costs, spec.utility, spec.eval_b_ref,
-                                spec.seed + 11, alpha=spec.alpha, pool=pool,
-                                pool_b_test=spec.eval_b_test,
-                                scenario=spec.student_t)
-               for name, policy in sorted(policies.items())]
+    _, reports, _ = _evaluate(spec, run_dir, spec.seed + 11)
     write_reports_csv(reports, os.path.join(run_dir, "compare.csv"))
     for rep in reports:
         print(rep.csv_row())

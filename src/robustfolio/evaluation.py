@@ -2,8 +2,9 @@
 
 Expected utility against a fixed or pooled market, the pooled minimum
 (worst case across scenarios), relative error against an explicit
-benchmark under common random numbers, discounted value at risk, and
-terminal-wealth histogram statistics.
+benchmark under common random numbers, discounted value at risk,
+terminal-wealth histogram statistics, and the per-strategy reports that
+combine them.
 
 Default convention: a path whose wealth turns non-positive cannot be
 priced by the power utilities, so any default makes the Monte Carlo
@@ -12,7 +13,9 @@ estimate -inf (reported with its default count) rather than raising.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -56,16 +59,20 @@ class UtilityEstimate:
     n_paths: int
 
 
+def utility_estimate(u: np.ndarray) -> UtilityEstimate:
+    """Monte Carlo mean of per-path utilities u, -inf on any default."""
+    n_def = int(np.count_nonzero(np.isneginf(u)))
+    if n_def:
+        return UtilityEstimate(float("-inf"), float("nan"), n_def, len(u))
+    se = float(np.std(u, ddof=1) / np.sqrt(len(u))) if len(u) > 1 else float("nan")
+    return UtilityEstimate(float(np.mean(u)), se, 0, len(u))
+
+
 def expected_utility_on(policy: Policy, paths: PathBatch, x0: float, rate: float,
                         costs: CostSpec, utility: PowerUtility) -> UtilityEstimate:
     """Expected utility on pre-simulated paths (common-random-number core)."""
     ledger = roll_out(policy, paths, x0, rate, costs)
-    u = utility(ledger.terminal)
-    n_def = int(np.count_nonzero(np.isneginf(u)))
-    if n_def:
-        return UtilityEstimate(float("-inf"), float("nan"), n_def, paths.n_paths)
-    se = float(np.std(u, ddof=1) / np.sqrt(len(u))) if len(u) > 1 else float("nan")
-    return UtilityEstimate(float(np.mean(u)), se, 0, paths.n_paths)
+    return utility_estimate(utility(ledger.terminal))
 
 
 def expected_utility(policy: Policy, scenario, grid: TimeGrid, s0, x0: float,
@@ -145,9 +152,7 @@ def relative_error(policy: Policy, benchmark, drift, cov, grid: TimeGrid, s0,
         benchmark = ConstantWeightPolicy(benchmark)
     params = ConstantParams(mu=np.atleast_1d(np.asarray(drift, float)),
                             sigma=np.linalg.cholesky(np.atleast_2d(np.asarray(cov, float))))
-    d = params.mu.shape[0]
-    inc = NoiseIncrements.generate(seed, b_test, grid.n_steps, d)
-    paths = simulate_euler(grid, params, s0, inc)
+    paths = simulate_scenario(params, grid, s0, b_test, seed)
     e_bench = expected_utility_on(benchmark, paths, x0, rate, costs, utility)
     e_pol = expected_utility_on(policy, paths, x0, rate, costs, utility)
     gap = e_bench.value - e_pol.value
@@ -249,43 +254,58 @@ class EvalReport:
 
 
 def write_reports_csv(reports: list[EvalReport], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(EvalReport.csv_header() + "\n")
-        for rep in reports:
-            fh.write(rep.csv_row() + "\n")
+    """Write the table next to ``path`` and move it into place, so that a
+    crash part-way leaves no truncated table behind."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(EvalReport.csv_header() + "\n")
+            for rep in reports:
+                fh.write(rep.csv_row() + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
-def reference_report(policy: Policy, name: str, market: ReferenceMarket,
-                     grid: TimeGrid, x0: float, costs: CostSpec,
-                     utility: PowerUtility, b_test: int, seed: int,
-                     alpha: float = 0.05, pool=None,
-                     pool_b_test: int | None = None, scenario=None) -> EvalReport:
-    """Evaluate one strategy on the reference market (plus optional pool).
+def evaluate_policies(policies: dict[str, Policy], scenario, grid: TimeGrid, s0,
+                      x0: float, rate: float, costs: CostSpec,
+                      utility: PowerUtility, b_ref: int, seed: int, alpha: float,
+                      pool=None, pool_b_test: int | None = None,
+                      pool_seed: int | None = None, bins: int = 50,
+                      ) -> tuple[list[EvalReport], dict[str, HistogramReport]]:
+    """Report every policy on one batch of reference paths, plus a pool.
 
-    ``scenario`` overrides the path-generating market (e.g. a Student-t
-    market priced with the reference rate and initial wealth).
+    ``b_ref`` paths of ``scenario`` are simulated once from ``seed`` and each
+    policy is rolled out once on them; E[u], its standard error, the default
+    count, VaR and the wealth statistics all come from that roll-out.  A
+    policy with a defaulted path reports e_u = -inf with NaN VaR and wealth
+    statistics, and gets no histogram.  The worst case over ``pool``, if
+    given, comes from one ``pooled_min_utilities`` pass of ``pool_b_test``
+    paths per scenario on the substreams of ``pool_seed``.  Reports are
+    sorted by strategy name; histograms are keyed by it.
     """
-    paths = simulate_scenario(market if scenario is None else scenario,
-                              grid, market.s0, b_test, seed)
-    ledger = roll_out(policy, paths, x0, market.rate, costs)
-    est = expected_utility_on(policy, paths, x0, market.rate, costs, utility)
-    alive = ledger.terminal[~np.isneginf(utility(ledger.terminal))]
-    disc = discount(ledger.terminal, market.rate, grid.horizon)
-    rep = EvalReport(strategy=name, e_u=est.value, e_u_stderr=est.std_error,
-                     alpha=alpha, n_defaults=est.n_defaults, b_test=b_test)
-    if est.n_defaults == 0:
-        rep.var_alpha = value_at_risk(ledger.terminal, alpha, market.rate,
-                                      grid.horizon, x0)
-        rep.wealth_mean = float(disc.mean())
-        rep.wealth_std = float(disc.std())
-        rep.wealth_skew = _skewness(disc)
-    elif alive.size:
-        rep.wealth_mean = float(np.mean(discount(alive, market.rate, grid.horizon)))
+    pooled = {}
     if pool is not None:
-        res = pooled_min_utility(policy, pool, grid, market.s0, x0, market.rate,
-                                 costs, utility, pool_b_test or b_test, seed)
-        rep.m_u = res.m_u
-        rep.m_u_stderr = res.estimates[res.argmin].std_error
-        rep.m_u_argmin = res.argmin
-        rep.n_pool = res.n_pool
-    return rep
+        pooled = pooled_min_utilities(policies, pool, grid, s0, x0, rate, costs,
+                                      utility, pool_b_test, pool_seed)
+    paths = simulate_scenario(scenario, grid, s0, b_ref, seed)
+    reports, histograms = [], {}
+    for name, policy in sorted(policies.items()):
+        terminal = roll_out(policy, paths, x0, rate, costs).terminal
+        est = utility_estimate(utility(terminal))
+        rep = EvalReport(strategy=name, e_u=est.value, e_u_stderr=est.std_error,
+                         alpha=alpha, n_defaults=est.n_defaults, b_test=b_ref)
+        if not est.n_defaults:
+            hist = histograms[name] = histogram_report(
+                discount(terminal, rate, grid.horizon), bins)
+            rep.var_alpha = value_at_risk(terminal, alpha, rate, grid.horizon, x0)
+            rep.wealth_mean, rep.wealth_std, rep.wealth_skew = (
+                hist.mean, hist.std, hist.skewness)
+        if name in pooled:
+            res = pooled[name]
+            rep.m_u, rep.m_u_argmin, rep.n_pool = res.m_u, res.argmin, res.n_pool
+            rep.m_u_stderr = res.estimates[res.argmin].std_error
+        reports.append(rep)
+    return reports, histograms

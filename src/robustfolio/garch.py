@@ -267,6 +267,23 @@ def _correlated_normals(rng, corr: np.ndarray, shape) -> np.ndarray:
     return z @ chol.T
 
 
+def _garch_paths(grid: TimeGrid, s0, z: np.ndarray, mean, omega, alpha, beta,
+                 h: np.ndarray) -> PathBatch:
+    """Run the GARCH(1,1) recursion on correlated normals z of shape (B, N, d).
+
+    The per-step parameters are (d,) or (B, d) and broadcast against each
+    step's (B, d) slice; h is the (B, d) starting variance.
+    """
+    b, n, d = z.shape
+    s = np.empty((b, n + 1, d))
+    s[:, 0, :] = np.broadcast_to(np.atleast_1d(np.asarray(s0, float)), (d,))
+    for k in range(n):
+        eps = np.sqrt(h) * z[:, k, :]
+        s[:, k + 1, :] = s[:, k, :] * np.exp(mean + eps)
+        h = omega + alpha * eps ** 2 + beta * h
+    return PathBatch(grid=grid, s=s, floored=np.zeros(b, dtype=bool))
+
+
 def simulate_garch(model: GarchModel, grid: TimeGrid, s0, n_paths: int,
                    seed: int) -> PathBatch:
     """Price paths S[n+1] = S[n] * exp(r_n) with GARCH log-returns r_n.
@@ -274,44 +291,19 @@ def simulate_garch(model: GarchModel, grid: TimeGrid, s0, n_paths: int,
     Parameters are per grid step (no annualization); the cross-coordinate
     coupling is a Gaussian copula via the residual correlation matrix.
     """
-    d = model.d
-    s0 = np.broadcast_to(np.atleast_1d(np.asarray(s0, float)), (d,))
-    n = grid.n_steps
-    s = np.empty((n_paths, n + 1, d))
-    s[:, 0, :] = s0
-    if n_paths == 0:
-        return PathBatch(grid=grid, s=s, floored=np.zeros(0, dtype=bool))
     rng = np.random.default_rng(seed)
-    z = _correlated_normals(rng, model.resid_corr, (n_paths, n, d))
-    h = np.tile(model.uncond_var, (n_paths, 1))
-    for k in range(n):
-        eps = np.sqrt(h) * z[:, k, :]
-        r = model.mean + eps
-        s[:, k + 1, :] = s[:, k, :] * np.exp(r)
-        h = model.omega + model.alpha * eps ** 2 + model.beta * h
-    return PathBatch(grid=grid, s=s, floored=np.zeros(n_paths, dtype=bool))
+    z = _correlated_normals(rng, model.resid_corr, (n_paths, grid.n_steps, model.d))
+    return _garch_paths(grid, s0, z, model.mean, model.omega, model.alpha,
+                        model.beta, np.tile(model.uncond_var, (n_paths, 1)))
 
 
 def simulate_garch_pool_single_paths(models: list[GarchModel], grid: TimeGrid,
                                      s0, seed: int) -> PathBatch:
     """One path per pool model, vectorized across the pool."""
-    j = len(models)
-    d = models[0].d
-    s0 = np.broadcast_to(np.atleast_1d(np.asarray(s0, float)), (d,))
-    n = grid.n_steps
     rng = np.random.default_rng(seed)
     chols = np.stack([np.linalg.cholesky(repair_psd(m.resid_corr)) for m in models])
-    z = rng.standard_normal((j, n, d))
+    z = rng.standard_normal((len(models), grid.n_steps, models[0].d))
     z = np.einsum("jik,jnk->jni", chols, z)
-    omega = np.stack([m.omega for m in models])
-    alpha = np.stack([m.alpha for m in models])
-    beta = np.stack([m.beta for m in models])
-    mean = np.stack([m.mean for m in models])
-    h = np.stack([m.uncond_var for m in models])
-    s = np.empty((j, n + 1, d))
-    s[:, 0, :] = s0
-    for k in range(n):
-        eps = np.sqrt(h) * z[:, k, :]
-        s[:, k + 1, :] = s[:, k, :] * np.exp(mean + eps)
-        h = omega + alpha * eps ** 2 + beta * h
-    return PathBatch(grid=grid, s=s, floored=np.zeros(j, dtype=bool))
+    params = [np.stack([getattr(m, name) for m in models])
+              for name in ("mean", "omega", "alpha", "beta", "uncond_var")]
+    return _garch_paths(grid, s0, z, *params)

@@ -24,13 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, clip_floor, concat, raw, reshape, tsum
+from .evaluation import expected_utility_on
 from .market import (PRICE_FLOOR, ConstantParams, ReferenceMarket, TimeGrid,
                      make_noisy_pool, simulate_euler, stack_scenarios,
                      substream)
 from .nets import (NeuralPolicy, ParamSet, adam_step, build_net, forward_market,
                    forward_policy, load_checkpoint, lr_schedule, market_head_bias,
                    market_spec, policy_spec, save_checkpoint)
-from .portfolio import CostSpec, roll_out, step_wealth
+from .portfolio import CostSpec, step_wealth
 from .utility import (PenaltySpec, PowerUtility, penalty_instant,
                       penalty_instant_vol, penalty_pathwise)
 
@@ -227,11 +228,7 @@ def forward_episode(z_batch: np.ndarray, gen_params, disc_params,
 def early_stopping_metric(policy, paths, utility: PowerUtility, x0: float,
                           rate: float, costs: CostSpec) -> float:
     """Average utility of the policy over pre-simulated scenario paths."""
-    ledger = roll_out(policy, paths, x0, rate, costs)
-    u = utility(ledger.terminal)
-    if np.any(np.isneginf(u)):
-        return float("-inf")
-    return float(np.mean(u))
+    return expected_utility_on(policy, paths, x0, rate, costs, utility).value
 
 
 def validation_paths(cfg: TrainConfig, z_val):

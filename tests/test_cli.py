@@ -6,7 +6,9 @@ import pytest
 
 from robustfolio import cli, evaluation
 from robustfolio.cli import main
+from robustfolio.evaluation import EvalReport
 from robustfolio.market import MarketError, NoiseIncrements
+from robustfolio.portfolio import ConstantWeightPolicy
 from robustfolio.presets import (PRESETS, ExperimentConfig, benchmark_solution,
                                  config_hash, resolve)
 
@@ -153,7 +155,6 @@ def test_evaluate_simulates_each_scenario_once(tmp_path, monkeypatch, capsys):
         return simulate(*args, **kwargs)
 
     monkeypatch.setattr(evaluation, "simulate_scenario", counting)
-    monkeypatch.setattr(cli, "simulate_scenario", counting)
     out = tmp_path / "e"
     assert main(["evaluate", "--preset", "ntc-small", "--scale", "0.002",
                  "--override", "eval_b_ref=200", "--override", "eval_b_test=100",
@@ -166,6 +167,84 @@ def test_evaluate_simulates_each_scenario_once(tmp_path, monkeypatch, capsys):
     (n_pool,) = {int(r["n_pool"]) for r in reports}
     assert n_pool >= 2
     assert len(calls) == n_pool + 1  # the pool, plus the reference paths
+
+
+def _read_table(path):
+    rows = path.read_text().splitlines()
+    header = rows[0].split(",")
+    return {r.split(",")[0]: dict(zip(header, r.split(","))) for r in rows[1:]}
+
+
+def test_compare_ref_simulates_each_scenario_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    simulate = evaluation.simulate_scenario
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "simulate_scenario", counting)
+    out = tmp_path / "c"
+    assert main(["compare-ref", "--preset", "ntc-small", "--scale", "0.002",
+                 "--override", "eval_n_pool=3", "--out", str(out)]) == 0
+    (run_dir,) = _run_dirs(out)
+    reports = _read_table(out / run_dir / "compare.csv")
+    assert set(reports) == {"cash", "merton", "no-trade"}
+    (n_pool,) = {int(r["n_pool"]) for r in reports.values()}
+    assert n_pool >= 2
+    assert len(calls) == n_pool + 1  # the pool, plus the reference paths
+
+
+def test_defaulting_strategy_rows(tmp_path, monkeypatch, capsys):
+    benchmarks = cli._benchmark_policies
+
+    def with_lever(spec):
+        return benchmarks(spec) | {"lever": ConstantWeightPolicy(50.0)}
+
+    monkeypatch.setattr(cli, "_benchmark_policies", with_lever)
+    args = ["--preset", "ntc-small", "--scale", "0.002", "--override",
+            "eval_b_ref=200", "--override", "eval_b_test=100", "--override",
+            "eval_n_pool=2", "--out", str(tmp_path)]
+    assert main(["evaluate", *args]) == 0
+    assert main(["compare-ref", *args]) == 0
+    (run_dir,) = _run_dirs(tmp_path)
+    for table in ("report.csv", "compare.csv"):
+        rows = _read_table(tmp_path / run_dir / table)
+        lever = rows["lever"]
+        assert int(lever["n_defaults"]) > 0
+        assert float(lever["e_u"]) == -np.inf and float(lever["m_u"]) == -np.inf
+        for key in ("e_u_stderr", "var_alpha", "wealth_mean", "wealth_std",
+                    "wealth_skew"):
+            assert np.isnan(float(lever[key])), (table, key)
+        assert int(rows["merton"]["n_defaults"]) == 0
+        assert np.isfinite(float(rows["merton"]["wealth_mean"]))
+    assert not (tmp_path / run_dir / "histogram_lever.csv").exists()
+    assert (tmp_path / run_dir / "histogram_merton.csv").exists()
+
+
+def test_report_table_survives_a_crash(tmp_path, monkeypatch, capsys):
+    written = []
+    csv_row = EvalReport.csv_row
+
+    def failing(self):
+        written.append(self.strategy)
+        if len(written) == 2:
+            raise OSError("disk full")
+        return csv_row(self)
+
+    monkeypatch.setattr(EvalReport, "csv_row", failing)
+    args = ["run", "--preset", "student-t-20", "--scale", "0.002", "--override",
+            "eval_b_ref=200", "--override", "eval_b_test=100", "--override",
+            "eval_n_pool=2", "--out", str(tmp_path)]
+    with pytest.raises(OSError, match="disk full"):
+        main(args)
+    (run_dir,) = _run_dirs(tmp_path)
+    assert not [name for name in os.listdir(tmp_path / run_dir)
+                if name.startswith("report.csv")]
+    monkeypatch.undo()
+    assert main(args) == 0
+    assert set(_read_table(tmp_path / run_dir / "report.csv")) == {
+        "cash", "merton", "no-trade"}
 
 
 @pytest.mark.slow

@@ -4,16 +4,17 @@ import pytest
 from robustfolio.closed_form import (NoTradePolicy, NoTradeRegion,
                                      solve_fully_robust)
 from robustfolio.evaluation import (EvalReport, UtilityEstimate, discount,
-                                    expected_utility, histogram_report,
+                                    evaluate_policies, expected_utility,
+                                    expected_utility_on, histogram_report,
                                     pooled_min_utilities, pooled_min_utility,
-                                    reference_report,
                                     relative_error, simulate_scenario,
                                     value_at_risk, write_reports_csv)
 from robustfolio.garch import GarchModel
 from robustfolio.market import (NoiseIncrements, ReferenceMarket,
                                 StudentTMarket, TimeGrid, make_noisy_pool,
                                 simulate_euler)
-from robustfolio.portfolio import CashPolicy, ConstantWeightPolicy, CostSpec
+from robustfolio.portfolio import (CashPolicy, ConstantWeightPolicy, CostSpec,
+                                   roll_out)
 from robustfolio.utility import PowerUtility
 
 
@@ -228,12 +229,14 @@ class TestScenarioDispatch:
 
 
 class TestReports:
-    def test_reference_report_and_csv(self, tmp_path, grid, market):
+    def test_evaluate_policies_and_csv(self, tmp_path, grid, market):
         pool = make_noisy_pool(market, "cumulative", 0.075, 0.01, 3, grid, seed=20)
-        rep = reference_report(ConstantWeightPolicy(0.653), "ntc", market, grid,
-                               1.0, CostSpec(c_prop=0.01),
-                               PowerUtility(0.5, shifted=False), 2000, seed=21,
-                               pool=pool, pool_b_test=500)
+        (rep,), _ = evaluate_policies({"ntc": ConstantWeightPolicy(0.653)}, market,
+                                      grid, market.s0, 1.0, market.rate,
+                                      CostSpec(c_prop=0.01),
+                                      PowerUtility(0.5, shifted=False), 2000,
+                                      seed=21, alpha=0.05, pool=pool,
+                                      pool_b_test=500, pool_seed=21)
         assert np.isfinite(rep.e_u) and np.isfinite(rep.m_u)
         assert rep.m_u <= rep.e_u + 0.05
         assert rep.n_pool == 3
@@ -242,6 +245,34 @@ class TestReports:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("strategy,")
         assert lines[1].startswith("ntc,")
+
+    def test_one_roll_out_carries_every_statistic(self, grid, market):
+        policies = {"merton": ConstantWeightPolicy(0.4), "cash": CashPolicy(),
+                    "lever": ConstantWeightPolicy(50.0)}
+        util = PowerUtility(0.5, shifted=False)
+        reports, hists = evaluate_policies(policies, market, grid, market.s0, 1.0,
+                                           market.rate, CostSpec(), util, 400,
+                                           seed=22, alpha=0.05)
+        assert [r.strategy for r in reports] == ["cash", "lever", "merton"]
+        paths = simulate_scenario(market, grid, market.s0, 400, seed=22)
+        for rep in reports:
+            est = expected_utility_on(policies[rep.strategy], paths, 1.0,
+                                      market.rate, CostSpec(), util)
+            assert (rep.e_u, rep.n_defaults, rep.b_test) == (est.value,
+                                                            est.n_defaults, 400)
+            assert rep.n_pool == 0 and np.isnan(rep.m_u)
+        cash, lever, merton = reports
+        terminal = roll_out(policies["merton"], paths, 1.0, market.rate,
+                            CostSpec()).terminal
+        assert merton.var_alpha == value_at_risk(terminal, 0.05, market.rate,
+                                                 grid.horizon, 1.0)
+        assert merton.wealth_mean == hists["merton"].mean
+        # a defaulting policy: -inf utility, NaN risk and wealth statistics
+        assert lever.n_defaults > 0 and lever.e_u == -np.inf
+        for value in (lever.e_u_stderr, lever.var_alpha, lever.wealth_mean,
+                      lever.wealth_std, lever.wealth_skew):
+            assert np.isnan(value)
+        assert set(hists) == {"cash", "merton"}
 
     def test_report_json(self, tmp_path):
         rep = EvalReport(strategy="cash", e_u=1.0)
