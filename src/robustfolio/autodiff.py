@@ -2,9 +2,16 @@
 
 Just enough primitives to push exact gradients through an unrolled trading
 episode: affine maps, tanh, log/exp/pow, broadcasted Hadamard products,
-reductions, slicing and concatenation.  Absolute value uses the subgradient
-0 at 0; indicator-style quantities must be computed from ``raw`` values and
-enter the graph as constants.
+reductions, slicing and concatenation, and ``dense``, a whole network layer
+as one graph node.  Absolute value uses the subgradient 0 at 0;
+indicator-style quantities must be computed from ``raw`` values and enter
+the graph as constants.
+
+Memory: a backward closure hands a gradient it computed for one parent
+alone to ``_acc`` as owned, so the parent keeps that buffer instead of a
+copy; views and aliases are copied.  ``Tensor.backward`` releases each
+interior node's gradient once its closure has consumed it, so after the
+sweep only leaves hold gradients.
 """
 
 from __future__ import annotations
@@ -25,12 +32,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _acc(t: "Tensor", grad: np.ndarray) -> None:
+def _acc(t: "Tensor", grad: np.ndarray, owned: bool = False) -> None:
+    """Add ``grad`` into ``t.grad``.  ``owned`` marks a buffer computed for
+    this call alone, which the first accumulation keeps; anything else may
+    alias a child's gradient or be a broadcast view, and is copied."""
     if t.grad is None:
-        # copy: grad may alias a child's buffer or be a broadcast view
-        t.grad = np.array(grad)
+        t.grad = grad if owned else np.array(grad)
     else:
         t.grad += grad
+
+
+def _basic_index(idx) -> bool:
+    """True when ``idx`` selects a view (no integer-array or mask parts)."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(p is None or p is Ellipsis or isinstance(p, (slice, int, np.integer))
+               for p in parts)
 
 
 class Tensor:
@@ -87,6 +103,7 @@ class Tensor:
         for node in reversed(order):
             if node._bk is not None and node.grad is not None:
                 node._bk(node.grad)
+                node.grad = None  # consumed; leaves (no closure) keep theirs
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -115,15 +132,15 @@ class Tensor:
             out = Tensor(self.data * other.data, (self, other))
 
             def bk(g, a=self, b=other):
-                _acc(a, _unbroadcast(g * b.data, a.data.shape))
-                _acc(b, _unbroadcast(g * a.data, b.data.shape))
+                _acc(a, _unbroadcast(g * b.data, a.data.shape), True)
+                _acc(b, _unbroadcast(g * a.data, b.data.shape), True)
 
         else:
             const = np.asarray(other, dtype=np.float64)
             out = Tensor(self.data * const, (self,))
 
             def bk(g, a=self, c=const):
-                _acc(a, _unbroadcast(g * c, a.data.shape))
+                _acc(a, _unbroadcast(g * c, a.data.shape), True)
 
         out._bk = bk
         return out
@@ -146,15 +163,16 @@ class Tensor:
             out = Tensor(self.data / other.data, (self, other))
 
             def bk(g, a=self, b=other):
-                _acc(a, _unbroadcast(g / b.data, a.data.shape))
-                _acc(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+                _acc(a, _unbroadcast(g / b.data, a.data.shape), True)
+                _acc(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
+                     True)
 
         else:
             const = np.asarray(other, dtype=np.float64)
             out = Tensor(self.data / const, (self,))
 
             def bk(g, a=self, c=const):
-                _acc(a, _unbroadcast(g / c, a.data.shape))
+                _acc(a, _unbroadcast(g / c, a.data.shape), True)
 
         out._bk = bk
         return out
@@ -164,7 +182,7 @@ class Tensor:
         out = Tensor(const / self.data, (self,))
 
         def bk(g, a=self, c=const):
-            _acc(a, _unbroadcast(-g * c / (a.data * a.data), a.data.shape))
+            _acc(a, _unbroadcast(-g * c / (a.data * a.data), a.data.shape), True)
 
         out._bk = bk
         return out
@@ -174,7 +192,7 @@ class Tensor:
         out = Tensor(self.data ** p, (self,))
 
         def bk(g, a=self):
-            _acc(a, g * p * a.data ** (p - 1.0))
+            _acc(a, g * p * a.data ** (p - 1.0), True)
 
         out._bk = bk
         return out
@@ -184,15 +202,15 @@ class Tensor:
             out = Tensor(self.data @ other.data, (self, other))
 
             def bk(g, a=self, b=other):
-                _acc(a, g @ b.data.T)
-                _acc(b, a.data.T @ g)
+                _acc(a, g @ b.data.T, True)
+                _acc(b, a.data.T @ g, True)
 
         else:
             const = np.asarray(other, dtype=np.float64)
             out = Tensor(self.data @ const, (self,))
 
             def bk(g, a=self, c=const):
-                _acc(a, g @ c.T)
+                _acc(a, g @ c.T, True)
 
         out._bk = bk
         return out
@@ -202,7 +220,7 @@ class Tensor:
         out = Tensor(const @ self.data, (self,))
 
         def bk(g, b=self, c=const):
-            _acc(b, c.T @ g)
+            _acc(b, c.T @ g, True)
 
         out._bk = bk
         return out
@@ -214,7 +232,7 @@ class Tensor:
         out = Tensor(np.log(self.data), (self,))
 
         def bk(g, a=self):
-            _acc(a, g / a.data)
+            _acc(a, g / a.data, True)
 
         out._bk = bk
         return out
@@ -224,7 +242,7 @@ class Tensor:
         out = Tensor(e, (self,))
 
         def bk(g, a=self, e=e):
-            _acc(a, g * e)
+            _acc(a, g * e, True)
 
         out._bk = bk
         return out
@@ -234,7 +252,7 @@ class Tensor:
         out = Tensor(th, (self,))
 
         def bk(g, a=self, th=th):
-            _acc(a, g * (1.0 - th * th))
+            _acc(a, g * (1.0 - th * th), True)
 
         out._bk = bk
         return out
@@ -244,7 +262,7 @@ class Tensor:
         out = Tensor(np.abs(self.data), (self,))
 
         def bk(g, a=self):
-            _acc(a, g * np.sign(a.data))
+            _acc(a, g * np.sign(a.data), True)
 
         out._bk = bk
         return out
@@ -255,7 +273,7 @@ class Tensor:
         out = Tensor(np.maximum(self.data, floor), (self,))
 
         def bk(g, a=self, mask=mask):
-            _acc(a, g * mask)
+            _acc(a, g * mask, True)
 
         out._bk = bk
         return out
@@ -276,10 +294,13 @@ class Tensor:
     def __getitem__(self, idx):
         out = Tensor(self.data[idx], (self,))
 
-        def bk(g, a=self, idx=idx):
+        def bk(g, a=self, idx=idx, basic=_basic_index(idx)):
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
-            a.grad[idx] += g
+            if basic:
+                a.grad[idx] += g
+            else:  # repeated integer indices must each add their share
+                np.add.at(a.grad, idx, g)
 
         out._bk = bk
         return out
@@ -328,15 +349,49 @@ def concat(parts, axis=0):
     return out
 
 
+def dense(x, W, b, act: bool = True):
+    """One network layer, ``tanh(x @ W + b)`` (``x @ W + b`` without
+    ``act``), as a single graph node.
+
+    The forward pass computes ``x @ W``, adds ``b`` and applies tanh in place,
+    the same operations in the same order as the three generic ops, so values
+    and gradients match them bit for bit.  Any operand may be a plain array:
+    only Tensor operands enter the graph and get gradients, so a frozen
+    network's weights cost no ``x.T @ g`` products.  Returns an array when
+    no operand is a Tensor.
+    """
+    z = raw(x) @ raw(W)
+    z += raw(b)
+    if act:
+        np.tanh(z, out=z)
+    parents = tuple(p for p in (x, W, b) if isinstance(p, Tensor))
+    if not parents:
+        return z
+    out = Tensor(z, parents)
+
+    def bk(g, x=x, W=W, b=b, h=z):
+        if act:
+            d = h * h  # tanh' = 1 - h^2, formed in one buffer
+            np.subtract(1.0, d, out=d)
+            d *= g
+        else:
+            d = g
+        if isinstance(b, Tensor):
+            _acc(b, d.sum(axis=0), True)
+        if isinstance(x, Tensor):
+            _acc(x, d @ raw(W).T, True)
+        if isinstance(W, Tensor):
+            _acc(W, raw(x).T @ d, True)
+
+    out._bk = bk
+    return out
+
+
 # ----------------------------------------------------------------------
 # type-dispatching helpers so forward code runs on Tensors or plain arrays
 # ----------------------------------------------------------------------
 def raw(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-
-
-def tanh(x):
-    return x.tanh() if isinstance(x, Tensor) else np.tanh(x)
 
 
 def log(x):

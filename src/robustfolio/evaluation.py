@@ -13,13 +13,12 @@ estimate -inf (reported with its default count) rather than raising.
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .closed_form import SaddleSolution
 from .garch import GarchModel, simulate_garch
 from .market import (ConstantParams, NoiseIncrements, NoisyMarketScenario,
@@ -256,17 +255,10 @@ class EvalReport:
 def write_reports_csv(reports: list[EvalReport], path) -> None:
     """Write the table next to ``path`` and move it into place, so that a
     crash part-way leaves no truncated table behind."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(EvalReport.csv_header() + "\n")
-            for rep in reports:
-                fh.write(rep.csv_row() + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    with atomic_write(path) as fh:
+        fh.write(EvalReport.csv_header() + "\n")
+        for rep in reports:
+            fh.write(rep.csv_row() + "\n")
 
 
 def evaluate_policies(policies: dict[str, Policy], scenario, grid: TimeGrid, s0,

@@ -5,7 +5,8 @@ single-layer recurrent net with a carried hidden state, and a time-grid
 net with independent parameters per step.  Hidden activations are tanh,
 outputs are linear.  The forward pass is written against the autodiff
 dispatch helpers, so the same code runs on Tensors (training) and on
-plain arrays (evaluation).
+plain arrays (evaluation, and the frozen network of a training step).
+Feed-forward and time-grid layers are single ``dense`` graph nodes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import as_col, concat, raw, reshape, tanh
+from .atomic import atomic_write
+from .autodiff import Tensor, as_col, concat, dense, raw, reshape
 
 ARCHS = ("ffnn", "rnn", "time_grid")
 CHECKPOINT_VERSION = 1
@@ -109,8 +111,8 @@ class FeedForward(_Net):
     def apply(self, params, n, inp, hidden):
         h = inp
         for i in range(self.spec.depth):
-            h = tanh(h @ params[f"h{i}.W"] + params[f"h{i}.b"])
-        return h @ params["out.W"] + params["out.b"], hidden
+            h = dense(h, params[f"h{i}.W"], params[f"h{i}.b"])
+        return dense(h, params["out.W"], params["out.b"], act=False), hidden
 
 
 class Recurrent(_Net):
@@ -129,8 +131,10 @@ class Recurrent(_Net):
     def apply(self, params, n, inp, hidden):
         if hidden is None:
             hidden = np.zeros((raw(inp).shape[0], self.spec.width))
-        h = tanh(inp @ params["rnn.Wx"] + hidden @ params["rnn.Wh"] + params["rnn.b"])
-        return h @ params["out.W"] + params["out.b"], h
+        # generic ops: the sum order (inp Wx + hidden Wh) + b is not dense's
+        pre = inp @ params["rnn.Wx"] + hidden @ params["rnn.Wh"] + params["rnn.b"]
+        h = pre.tanh() if isinstance(pre, Tensor) else np.tanh(pre)
+        return dense(h, params["out.W"], params["out.b"], act=False), h
 
 
 class TimeGridNet(_Net):
@@ -151,8 +155,9 @@ class TimeGridNet(_Net):
     def apply(self, params, n, inp, hidden):
         h = inp
         for i in range(self.spec.depth):
-            h = tanh(h @ params[f"s{n}.h{i}.W"] + params[f"s{n}.h{i}.b"])
-        return h @ params[f"s{n}.out.W"] + params[f"s{n}.out.b"], hidden
+            h = dense(h, params[f"s{n}.h{i}.W"], params[f"s{n}.h{i}.b"])
+        return dense(h, params[f"s{n}.out.W"], params[f"s{n}.out.b"],
+                     act=False), hidden
 
 
 def _apply_head_init(arrays, prefix, head_bias, zero_head):
@@ -253,7 +258,8 @@ def lr_schedule(epoch: int, base_lr: float = 5e-4, decay: float = 0.2,
 
 
 # ----------------------------------------------------------------------
-# checkpoints: npz payload (versioned) plus JSON metadata
+# checkpoints: npz payload (versioned) plus JSON metadata, each written to
+# a temporary file and moved into place
 # ----------------------------------------------------------------------
 def save_checkpoint(path, gen: ParamSet, disc: ParamSet | None, meta: dict) -> None:
     payload = {"__version__": np.array(CHECKPOINT_VERSION)}
@@ -268,8 +274,12 @@ def save_checkpoint(path, gen: ParamSet, disc: ParamSet | None, meta: dict) -> N
     put("gen", gen)
     if disc is not None:
         put("disc", disc)
-    np.savez(path, **payload)
-    with open(str(path) + ".json", "w") as fh:
+    # through a handle, so numpy does not append ".npz" to the temporary name;
+    # the sidecar goes second, so it never names an epoch whose parameters
+    # are not in place yet
+    with atomic_write(path, "wb") as fh:
+        np.savez(fh, **payload)
+    with atomic_write(str(path) + ".json") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
 
 

@@ -9,9 +9,12 @@ forms
     disc loss = -gen loss
 
 and updates exactly one of the two networks, alternating by a configurable
-step ratio.  Robustness modes degrade gracefully: ``non_robust`` freezes
-the market at the reference coefficients (the lambda = infinity case),
-``vol_robust`` additionally pins the drift at its reference value.
+step ratio.  Only the network being updated enters the episode as Tensors;
+the other runs on its plain arrays, so gradients flow through its inputs
+(prices and wealth) but its weight gradients are never formed.  Robustness
+modes degrade gracefully: ``non_robust`` freezes the market at the
+reference coefficients (the lambda = infinity case), ``vol_robust``
+additionally pins the drift at its reference value.
 
 Once per epoch a validation metric is computed and the best generator so
 far is snapshotted; training state is checkpointed for resumption.
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_write
 from .autodiff import Tensor, clip_floor, concat, raw, reshape, tsum
 from .evaluation import expected_utility_on
 from .market import (PRICE_FLOOR, ConstantParams, ReferenceMarket, TimeGrid,
@@ -30,7 +34,7 @@ from .market import (PRICE_FLOOR, ConstantParams, ReferenceMarket, TimeGrid,
                      substream)
 from .nets import (NeuralPolicy, ParamSet, adam_step, build_net, forward_market,
                    forward_policy, load_checkpoint, lr_schedule, market_head_bias,
-                   market_spec, policy_spec, save_checkpoint)
+                   market_spec, policy_spec, save_checkpoint, spec_to_dict)
 from .portfolio import CostSpec, step_wealth
 from .utility import (PenaltySpec, PowerUtility, penalty_instant,
                       penalty_instant_vol, penalty_pathwise)
@@ -156,9 +160,9 @@ def forward_episode(z_batch: np.ndarray, gen_params, disc_params,
                     cfg: TrainConfig) -> EpisodeResult:
     """Unroll one episode on a batch of standard-normal increments.
 
-    ``gen_params``/``disc_params`` are dicts of Tensors (or arrays for a
-    gradient-free pass).  Asset paths never depend on the policy; wealth
-    depends on both networks through the friction recursion.
+    ``gen_params``/``disc_params`` are dicts of Tensors or of plain arrays;
+    only Tensor parameters get gradients.  Asset paths never depend on the
+    policy; wealth depends on both networks through the friction recursion.
     """
     grid, mkt = cfg.grid, cfg.market
     b, n_steps, d = z_batch.shape
@@ -292,7 +296,9 @@ def train(cfg: TrainConfig, z_train, z_val=None, out_dir=None,
     ``z_train``/``z_val`` are NoiseIncrements from disjoint splits.  With
     an output directory, per-epoch metrics are appended to metrics.csv and
     latest/best checkpoints are written; ``resume`` continues a previous
-    run from its latest checkpoint, including RNG state.
+    run from its latest checkpoint, including RNG state, and raises a
+    ValueError if that checkpoint was written for other network specs or
+    another seed.
     """
     gen, disc = init_networks(cfg)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
@@ -307,6 +313,7 @@ def train(cfg: TrainConfig, z_train, z_val=None, out_dir=None,
         latest = os.path.join(out_dir, "checkpoint_latest.npz")
         if resume and os.path.exists(latest):
             gen, disc, meta = load_checkpoint(latest)
+            _check_resumable(meta, cfg)
             start_epoch = meta["epoch"] + 1
             shuffle_rng.bit_generator.state = meta["rng_shuffle"]
             history = [EpochRecord(**row) for row in meta["history"]]
@@ -329,20 +336,21 @@ def train(cfg: TrainConfig, z_train, z_val=None, out_dir=None,
         for k in range(batches_per_epoch):
             idx = perm[k * cfg.batch_size:(k + 1) * cfg.batch_size]
             z_batch = z_train.z[idx]
-            gen_t = {name: Tensor(arr) for name, arr in gen.arrays.items()}
-            disc_t = {name: Tensor(arr) for name, arr in disc.arrays.items()}
-            episode = forward_episode(z_batch, gen_t, disc_t, cfg)
+            role = roles[iteration % len(roles)]
+            trained = gen if role == "gen" else disc
+            tensors = {name: Tensor(arr) for name, arr in trained.arrays.items()}
+            if role == "gen":
+                episode = forward_episode(z_batch, tensors, disc.arrays, cfg)
+            else:
+                episode = forward_episode(z_batch, gen.arrays, tensors, cfg)
             loss = float(raw(episode.gen_loss))
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, iteration {iteration}")
             episode.gen_loss.backward()
-            role = roles[iteration % len(roles)]
-            if role == "gen":
-                adam_step(gen, _grads_for(gen, gen_t), lr, cfg.betas, cfg.adam_eps)
-            else:
-                adam_step(disc, _grads_for(disc, disc_t, negate=True), lr,
-                          cfg.betas, cfg.adam_eps)
+            # the market maximizes the generator's loss
+            adam_step(trained, _grads_for(trained, tensors, negate=role == "disc"),
+                      lr, cfg.betas, cfg.adam_eps)
             gen_losses.append(loss)
             iteration += 1
 
@@ -366,10 +374,21 @@ def train(cfg: TrainConfig, z_train, z_val=None, out_dir=None,
                       history=history)
 
 
-def _write_artifacts(out_dir, cfg, gen, disc, best, history, shuffle_rng):
-    import os
+def _check_resumable(meta: dict, cfg: TrainConfig) -> None:
+    """Refuse a checkpoint written for other networks or another seed."""
+    expected = {"gen_spec": spec_to_dict(cfg.gen_spec()),
+                "disc_spec": spec_to_dict(cfg.disc_spec()), "seed": cfg.seed}
+    for key, want in expected.items():
+        if meta.get(key) != want:
+            raise ValueError(f"cannot resume: checkpoint {key} {meta.get(key)!r} "
+                             f"does not match the configuration's {want!r}")
 
-    from .nets import spec_to_dict
+
+def _write_artifacts(out_dir, cfg, gen, disc, best, history, shuffle_rng):
+    """metrics.csv, the best and then the latest checkpoint, each moved into
+    place whole.  The latest sidecar goes last: until it names the new
+    epoch, a resume repeats that epoch and rewrites the same files."""
+    import os
 
     rows = [vars(r) for r in history]
     meta = {
@@ -384,14 +403,14 @@ def _write_artifacts(out_dir, cfg, gen, disc, best, history, shuffle_rng):
         "best_epoch": best.epoch if best else None,
         "best_metric": best.metric if best else None,
     }
-    save_checkpoint(os.path.join(out_dir, "checkpoint_latest.npz"), gen, disc, meta)
+    with atomic_write(os.path.join(out_dir, "metrics.csv")) as fh:
+        fh.write("epoch,gen_loss,disc_loss,val_metric,lr\n")
+        for r in history:
+            fh.write(f"{r.epoch},{r.gen_loss:.17g},{r.disc_loss:.17g},"
+                     f"{r.val_metric:.17g},{r.lr:.17g}\n")
     if best is not None:
         save_checkpoint(os.path.join(out_dir, "checkpoint_best.npz"),
                         ParamSet(arrays=best.arrays), None,
                         {"epoch": best.epoch, "metric": best.metric,
                          "seed": cfg.seed})
-    with open(os.path.join(out_dir, "metrics.csv"), "w") as fh:
-        fh.write("epoch,gen_loss,disc_loss,val_metric,lr\n")
-        for r in history:
-            fh.write(f"{r.epoch},{r.gen_loss:.17g},{r.disc_loss:.17g},"
-                     f"{r.val_metric:.17g},{r.lr:.17g}\n")
+    save_checkpoint(os.path.join(out_dir, "checkpoint_latest.npz"), gen, disc, meta)

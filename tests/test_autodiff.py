@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from robustfolio.autodiff import (Tensor, as_col, concat, numeric_grad, raw,
-                                  tmean, tsum)
+from robustfolio.autodiff import (Tensor, as_col, concat, dense, numeric_grad,
+                                  raw, tmean, tsum)
 
 
 def _check_grads(f, arrays, built, rel_tol=1e-6):
@@ -97,6 +97,24 @@ def test_getitem_and_reshape():
     _check_grads(built, arrays, built)
 
 
+def test_getitem_repeated_indices_accumulate():
+    a = Tensor(np.array([1.0, 2.0, 3.0]))
+    a[[0, 0, 2]].sum().backward()
+    assert np.array_equal(a.grad, [2.0, 0.0, 1.0])
+
+    b = Tensor(np.arange(6.0).reshape(3, 2))
+    rows = np.array([2, 0, 2, 2])
+    (b[rows, 1] * np.array([1.0, 2.0, 3.0, 4.0])).sum().backward()
+    assert np.array_equal(b.grad, [[0.0, 2.0], [0.0, 0.0], [0.0, 8.0]])
+
+
+def test_getitem_basic_slices_and_masks():
+    c = Tensor(np.arange(4.0))
+    (c[1:3].sum() + c[np.array([True, False, False, True])].sum() * 2.0
+     + c[..., 3] * 5.0).backward()
+    assert np.array_equal(c.grad, [2.0, 1.0, 1.0, 7.0])
+
+
 def test_concat_splits_gradient():
     rng = np.random.default_rng(4)
     arrays = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=(3, 4))}
@@ -151,3 +169,62 @@ def test_dispatch_helpers_on_arrays():
     assert tmean(x) == 2.0
     assert tsum(x) == 6.0
     assert as_col(x).shape == (3, 1)
+
+
+def _unfused(x, W, b, act):
+    y = x @ W + b
+    if not act:
+        return y
+    return y.tanh() if isinstance(y, Tensor) else np.tanh(y)
+
+
+@pytest.mark.parametrize("act", [True, False])
+@pytest.mark.parametrize("tensor_mask", [(1, 1, 1), (1, 0, 0), (0, 1, 1),
+                                         (1, 1, 0), (0, 0, 1), (0, 0, 0)])
+def test_dense_matches_unfused_composition_bit_for_bit(act, tensor_mask):
+    rng = np.random.default_rng(6)
+    arrays = [rng.normal(size=(9, 5)), rng.normal(size=(5, 4)) * 0.7,
+              rng.normal(size=(4,))]
+    weight = rng.normal(size=(9, 4))
+
+    def run(layer):
+        ops = [Tensor(a) if m else a for a, m in zip(arrays, tensor_mask)]
+        out = layer(*ops, act)
+        if isinstance(out, Tensor):
+            (out * weight).sum().backward()
+        return out, [op.grad for op in ops if isinstance(op, Tensor)]
+
+    out, grads = run(dense)
+    ref_out, ref_grads = run(_unfused)
+    assert isinstance(out, Tensor) == (sum(tensor_mask) > 0)
+    value, ref_value = raw(out), raw(ref_out)
+    assert value.tobytes() == ref_value.tobytes()
+    assert len(grads) == len(ref_grads) == sum(tensor_mask)
+    for g, ref in zip(grads, ref_grads):
+        assert g.tobytes() == ref.tobytes()
+
+
+def test_dense_against_finite_differences():
+    rng = np.random.default_rng(7)
+    arrays = {"x": rng.normal(size=(6, 3)), "w": rng.normal(size=(3, 4)),
+              "b": rng.normal(size=(4,)), "v": rng.normal(size=(4, 2))}
+
+    def built(arrs):
+        x, w, b, v = (Tensor(arrs[k]) for k in ("x", "w", "b", "v"))
+        out = dense(dense(x, w, b), v, np.ones(2), act=False)
+        return {"loss": (out * out).sum(), "x": x, "w": w, "b": b, "v": v}
+
+    _check_grads(built, arrays, built)
+
+
+def test_backward_releases_interior_gradients():
+    x = Tensor(np.array([[0.5, -1.0], [2.0, 0.3]]))
+    w = Tensor(np.array([[1.0, 0.2], [-0.4, 0.7]]))
+    h = dense(x, w, np.zeros(2))
+    y = h * h + h[:, :1] * 3.0
+    loss = y.sum()
+    loss.backward()
+    for leaf in (x, w):
+        assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+    for node in (h, y, loss):
+        assert node.grad is None

@@ -222,6 +222,43 @@ class TestCheckpoint:
         assert gen2.names == gen.names
 
 
+    @pytest.mark.parametrize("target", ["npz", "sidecar"])
+    def test_failed_write_leaves_previous_file_in_place(self, target, tmp_path,
+                                                        monkeypatch):
+        import json
+
+        gen = _init(policy_spec(1, width=4), seed=12)
+        path = tmp_path / "ck.npz"
+        sidecar = tmp_path / "ck.npz.json"
+        save_checkpoint(path, gen, None, {"epoch": 0})
+        before = {"npz": path.read_bytes(), "sidecar": sidecar.read_bytes()}
+        newer = gen.copy()
+        for arr in newer.arrays.values():
+            arr += 1.0
+
+        def write_then_crash(obj, fh, **kw):
+            fh.write(b"partial" if "b" in fh.mode else "partial")
+            raise OSError("disk full")
+
+        if target == "npz":
+            monkeypatch.setattr(np, "savez",
+                                lambda fh, **kw: write_then_crash(None, fh))
+        else:
+            monkeypatch.setattr(json, "dump", write_then_crash)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, newer, None, {"epoch": 1})
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.npz", "ck.npz.json"]
+        # the sidecar is replaced after the npz: it never runs ahead of it
+        assert sidecar.read_bytes() == before["sidecar"]
+        if target == "npz":
+            assert path.read_bytes() == before["npz"]
+            loaded, _, meta = load_checkpoint(path)
+            assert meta == {"epoch": 0}
+            for k in gen.names:
+                assert np.array_equal(loaded.arrays[k], gen.arrays[k])
+
+
 def test_init_is_seed_deterministic():
     a = _init(policy_spec(2, width=8), seed=33)
     b = _init(policy_spec(2, width=8), seed=33)

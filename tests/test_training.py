@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from robustfolio import nets, training
 from robustfolio.autodiff import Tensor, raw
 from robustfolio.market import (NoiseIncrements, ReferenceMarket, TimeGrid,
                                 make_noisy_pool, simulate_euler, stack_scenarios)
-from robustfolio.nets import NeuralPolicy
+from robustfolio.nets import NeuralPolicy, adam_step, load_checkpoint, lr_schedule
 from robustfolio.portfolio import CashPolicy, CostSpec, roll_out
 from robustfolio.training import (TrainConfig, TrainingDiverged, ValidationSpec,
                                   early_stopping_metric, forward_episode,
@@ -196,6 +197,60 @@ class TestTrainLoop:
         assert [r.val_metric for r in full.history] == \
                [r.val_metric for r in resumed.history]
 
+    def test_resume_refuses_a_mismatched_checkpoint(self, tmp_path):
+        import dataclasses
+        import json
+
+        cfg = _config(mode="vol_robust", epochs=1)
+        data = _data(cfg)
+        train(cfg, *data, out_dir=str(tmp_path))
+        for changed, field in ((dataclasses.replace(cfg, width=4), "gen_spec"),
+                               (dataclasses.replace(cfg, seed=1), "seed")):
+            with pytest.raises(ValueError, match=field):
+                train(changed, *data, out_dir=str(tmp_path), resume=True)
+        sidecar = tmp_path / "checkpoint_latest.npz.json"
+        meta = json.loads(sidecar.read_text())
+        meta["disc_spec"]["out_dim"] += 1
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="disc_spec"):
+            train(cfg, *data, out_dir=str(tmp_path), resume=True)
+
+    def test_crash_while_checkpointing_keeps_the_previous_one(self, tmp_path,
+                                                              monkeypatch):
+        cfg = _config(mode="vol_robust", epochs=2, val_kind="reference")
+        z_train, z_val = _data(cfg)
+        full = train(cfg, z_train, z_val, out_dir=str(tmp_path / "full"))
+        run = tmp_path / "crashed"
+        latest = run / "checkpoint_latest.npz"
+        real_savez = np.savez
+        before = {}
+
+        def savez_then_crash(fh, **payload):
+            if "disc~step" in payload and latest.exists():  # epoch 1's latest
+                before["ck"] = load_checkpoint(latest)
+                fh.write(b"PK\x03\x04 partial")
+                raise OSError("disk full")
+            real_savez(fh, **payload)
+
+        monkeypatch.setattr(np, "savez", savez_then_crash)
+        with pytest.raises(OSError, match="disk full"):
+            train(cfg, z_train, z_val, out_dir=str(run))
+        monkeypatch.setattr(np, "savez", real_savez)
+        gen, disc, meta = load_checkpoint(latest)
+        gen0, disc0, meta0 = before["ck"]
+        assert meta == meta0 and meta["epoch"] == 0
+        for got, ref in ((gen, gen0), (disc, disc0)):
+            for k in ref.names:
+                assert got.arrays[k].tobytes() == ref.arrays[k].tobytes()
+        assert not list(run.glob("*.tmp"))
+        # the sidecar still names epoch 0, so a resume repeats epoch 1
+        resumed = train(cfg, z_train, z_val, out_dir=str(run), resume=True)
+        for k in full.gen.names:
+            assert resumed.gen.arrays[k].tobytes() == full.gen.arrays[k].tobytes()
+        for name in ("metrics.csv", "checkpoint_latest.npz",
+                     "checkpoint_latest.npz.json", "checkpoint_best.npz"):
+            assert (run / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
     def test_metrics_csv_written(self, tmp_path):
         cfg = _config(mode="non_robust", epochs=2)
         train(cfg, *_data(cfg), out_dir=str(tmp_path))
@@ -232,6 +287,83 @@ class TestTrainLoop:
         assert gen.n_params == meta["gen_params"]
         for k in state.gen.names:
             assert np.array_equal(gen.arrays[k], state.gen.arrays[k])
+
+
+def _unfused_dense(x, W, b, act=True):
+    y = x @ W + b
+    if not act:
+        return y
+    return y.tanh() if isinstance(y, Tensor) else np.tanh(y)
+
+
+def _reference_epoch(cfg, z_train):
+    """One epoch as a plain loop: both nets enter every episode as Tensors,
+    layers are separate matmul/add/tanh nodes, and the full backward runs."""
+    gen, disc = init_networks(cfg)
+    perm = np.random.default_rng([cfg.seed, 1]).permutation(z_train.n_paths)
+    roles = ["gen"] * cfg.gen_steps + ["disc"] * cfg.disc_steps
+    if cfg.mode == "non_robust":
+        roles = ["gen"]
+    lr = lr_schedule(0, cfg.lr, cfg.lr_decay, cfg.lr_every)
+    for k in range(z_train.n_paths // cfg.batch_size):
+        idx = perm[k * cfg.batch_size:(k + 1) * cfg.batch_size]
+        tensors = {"gen": {n: Tensor(a) for n, a in gen.arrays.items()},
+                   "disc": {n: Tensor(a) for n, a in disc.arrays.items()}}
+        forward_episode(z_train.z[idx], tensors["gen"], tensors["disc"],
+                        cfg).gen_loss.backward()
+        role = roles[k % len(roles)]
+        params = gen if role == "gen" else disc
+        sign = 1.0 if role == "gen" else -1.0
+        grads = {}
+        for n in params.names:
+            g = tensors[role][n].grad
+            grads[n] = np.zeros_like(params.arrays[n]) if g is None else sign * g
+        adam_step(params, grads, lr, cfg.betas, cfg.adam_eps)
+    return gen, disc
+
+
+class TestTrainingStep:
+    @pytest.mark.parametrize("arch", ["ffnn", "rnn", "time_grid"])
+    @pytest.mark.parametrize("mode,penalty_kind", [("non_robust", "vol"),
+                                                   ("vol_robust", "vol"),
+                                                   ("fully_robust", "additive")])
+    def test_epoch_matches_full_backward_reference(self, arch, mode,
+                                                   penalty_kind, monkeypatch):
+        cfg = _config(mode=mode, penalty_kind=penalty_kind, epochs=1, arch=arch,
+                      width=6, costs=CostSpec(c_prop=0.01))
+        z_train, z_val = _data(cfg)
+        state = train(cfg, z_train, z_val)
+        monkeypatch.setattr(nets, "dense", _unfused_dense)
+        gen, disc = _reference_epoch(cfg, z_train)
+        for got, ref in ((state.gen, gen), (state.disc, disc)):
+            assert got.step == ref.step
+            for n in ref.names:
+                for table in ("arrays", "m", "v"):
+                    assert getattr(got, table)[n].tobytes() == \
+                        getattr(ref, table)[n].tobytes(), (table, n)
+        assert state.gen.step > 0
+        assert (state.disc.step > 0) == (mode != "non_robust")
+
+    @pytest.mark.parametrize("mode", ["non_robust", "fully_robust"])
+    def test_only_the_updated_net_enters_as_tensors(self, mode, monkeypatch):
+        seen = []
+
+        def spy(z_batch, gen_params, disc_params, cfg):
+            seen.append(tuple({type(v).__name__ for v in p.values()}
+                              for p in (gen_params, disc_params)))
+            return forward_episode(z_batch, gen_params, disc_params, cfg)
+
+        monkeypatch.setattr(training, "forward_episode", spy)
+        cfg = _config(mode=mode, penalty_kind="additive", epochs=1)
+        state = train(cfg, *_data(cfg))
+        gen_step = ({"Tensor"}, {"ndarray"})
+        disc_step = ({"ndarray"}, {"Tensor"})
+        if mode == "non_robust":
+            expected = [gen_step] * 4
+        else:
+            expected = [gen_step, disc_step] * 2
+        assert seen == expected
+        assert state.gen.step + state.disc.step == 4
 
 
 @pytest.mark.slow
