@@ -1,12 +1,11 @@
 """Robust trading strategies via adversarial training and explicit saddle points."""
 
 from .closed_form import (NoTradePolicy, NoTradeRegion, SaddleSolution,
-                          merton_weight, no_trade_step, oracle_weight,
-                          solve_1d_robust_vol, solve_fully_robust,
-                          solve_multid_robust_vol)
-from .evaluation import (EvalReport, expected_utility, expected_utility_on,
-                         histogram_report, pooled_min_utility, relative_error,
-                         simulate_scenario, value_at_risk)
+                          merton_weight, no_trade_step, solve_1d_robust_vol,
+                          solve_fully_robust, solve_multid_robust_vol)
+from .evaluation import (EvalReport, expected_utility_on, histogram_report,
+                         pooled_min_utility, relative_error, simulate_scenario,
+                         value_at_risk)
 from .garch import GarchModel, fit_garch, make_noisy_garch_pool, simulate_garch
 from .market import (NoiseIncrements, NoisyMarketScenario, PathBatch,
                      ReferenceMarket, StudentTMarket, TimeGrid, make_noisy_pool,

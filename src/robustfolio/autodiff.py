@@ -68,13 +68,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
 

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 
+from .atomic import atomic_write
 from .closed_form import NoTradePolicy, NoTradeRegion, merton_weight
 from .evaluation import (evaluate_policies, pooled_min_utility, relative_error,
                          write_reports_csv)
@@ -52,18 +53,19 @@ def _run_dir(args, spec: RunSpec) -> str:
 def _write_config(cfg: ExperimentConfig, spec: RunSpec, run_dir: str) -> None:
     doc = {"config": json.loads(cfg.to_json()), "config_hash": spec.config_hash,
            "seed": spec.seed, "resolved": spec.raw}
-    with open(os.path.join(run_dir, "config.json"), "w") as fh:
+    with atomic_write(os.path.join(run_dir, "config.json")) as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
 
 
 def _ensure_data(spec: RunSpec, run_dir: str) -> NoiseIncrements:
-    """Load the run's increments, regenerating a missing, corrupt or
-    mismatched file."""
+    """Load the run's increments, regenerating a missing or corrupt file, or
+    one whose header (B, N, d, seed) is not this run's."""
     path = os.path.join(run_dir, "increments.bin")
     if os.path.exists(path):
         try:
             inc = NoiseIncrements.load(path)
-            if inc.n_paths == spec.n_paths and inc.n_steps == spec.grid.n_steps:
+            if ((inc.n_paths, inc.n_steps, inc.d, inc.seed)
+                    == (spec.n_paths, spec.grid.n_steps, spec.market.d, spec.seed)):
                 return inc
         except MarketError:
             pass  # unreadable: regenerate below
@@ -299,7 +301,7 @@ def cmd_grid_search(args) -> int:
     if best is not None:
         boundary = (best[0] in (min(lam1s), max(lam1s)) or
                     best[1] in (min(lam2s), max(lam2s)))
-    with open(os.path.join(root_dir, "surface.csv"), "w") as fh:
+    with atomic_write(os.path.join(root_dir, "surface.csv")) as fh:
         fh.write("lam1,lam2,status,m_u,cell\n")
         for l1, l2, status, m_u, tag in rows:
             fh.write(f"{l1:.17g},{l2:.17g},{status},{m_u:.17g},{tag}\n")

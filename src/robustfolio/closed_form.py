@@ -183,16 +183,6 @@ def merton_weight(mu_excess: float, sigma: float, p: float) -> float:
     return mu_excess / (p * sigma ** 2)
 
 
-def oracle_weight(cov, mu, rate: float) -> np.ndarray:
-    """Full-information weight Sigma^-1 (mu - r); linear solve, no inverse."""
-    cov = np.atleast_2d(np.asarray(cov, dtype=np.float64))
-    mu = np.atleast_1d(np.asarray(mu, dtype=np.float64))
-    try:
-        return np.linalg.solve(cov, mu - rate)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"singular scenario covariance: {exc}") from exc
-
-
 # ----------------------------------------------------------------------
 # asymptotic no-trade region under small proportional costs
 # ----------------------------------------------------------------------

@@ -31,17 +31,11 @@ from .utility import PowerUtility
 def simulate_scenario(scenario, grid: TimeGrid, s0, n_paths: int,
                       seed: int) -> PathBatch:
     """Simulate any supported market scenario type on the grid."""
-    if isinstance(scenario, ReferenceMarket):
-        inc = NoiseIncrements.generate(seed, n_paths, grid.n_steps, scenario.d)
-        return simulate_euler(grid, scenario.params(), s0, inc)
-    if isinstance(scenario, NoisyMarketScenario):
-        d = scenario.mu_path.shape[1]
+    if isinstance(scenario, (ReferenceMarket, NoisyMarketScenario, ConstantParams)):
+        params = scenario if isinstance(scenario, ConstantParams) else scenario.params()
+        d = params.at(0)[0].shape[-1]
         inc = NoiseIncrements.generate(seed, n_paths, grid.n_steps, d)
-        return simulate_euler(grid, scenario.params(), s0, inc)
-    if isinstance(scenario, ConstantParams):
-        d = scenario.mu.shape[0]
-        inc = NoiseIncrements.generate(seed, n_paths, grid.n_steps, d)
-        return simulate_euler(grid, scenario, s0, inc)
+        return simulate_euler(grid, params, s0, inc)
     if isinstance(scenario, GarchModel):
         return simulate_garch(scenario, grid, s0, n_paths, seed)
     if isinstance(scenario, StudentTMarket):
@@ -72,14 +66,6 @@ def expected_utility_on(policy: Policy, paths: PathBatch, x0: float, rate: float
     """Expected utility on pre-simulated paths (common-random-number core)."""
     ledger = roll_out(policy, paths, x0, rate, costs)
     return utility_estimate(utility(ledger.terminal))
-
-
-def expected_utility(policy: Policy, scenario, grid: TimeGrid, s0, x0: float,
-                     rate: float, costs: CostSpec, utility: PowerUtility,
-                     b_test: int, seed: int) -> UtilityEstimate:
-    """Monte Carlo expected utility of terminal wealth under one scenario."""
-    paths = simulate_scenario(scenario, grid, s0, b_test, seed)
-    return expected_utility_on(policy, paths, x0, rate, costs, utility)
 
 
 @dataclass(frozen=True)
@@ -192,7 +178,7 @@ class HistogramReport:
     counts: np.ndarray
 
     def export_csv(self, path) -> None:
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write("bin_left,bin_right,count\n")
             for left, right, c in zip(self.bin_edges[:-1], self.bin_edges[1:],
                                       self.counts):
@@ -234,7 +220,7 @@ class EvalReport:
         doc = asdict(self)
         if extra:
             doc.update(extra)
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
 
     @staticmethod

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_write
+
 PRICE_FLOOR = 1e-8
 
 _MAGIC = b"RGPN1"
@@ -96,11 +98,6 @@ class ReferenceMarket:
             raise MarketError("initial prices must be positive")
         if not np.all(np.isfinite(vol)) or not np.all(np.isfinite(drift)):
             raise MarketError("non-finite market parameters")
-
-    @classmethod
-    def from_cov(cls, drift, cov, rate, s0) -> "ReferenceMarket":
-        vol = np.linalg.cholesky(np.asarray(cov, dtype=np.float64))
-        return cls(drift=np.asarray(drift, float), vol=vol, rate=rate, s0=np.asarray(s0, float))
 
     @property
     def d(self) -> int:
@@ -177,9 +174,10 @@ class NoiseIncrements:
         return NoiseIncrements(z=self.z[idx], seed=self.seed)
 
     # -- binary persistence: magic, then d, N, B, seed as little-endian
-    #    int64, then float64 payload in (path, step, asset) order.
+    #    int64, then float64 payload in (path, step, asset) order; written
+    #    beside the target and moved into place.
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
+        with atomic_write(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<4q", self.d, self.n_steps, self.n_paths, self.seed))
             fh.write(np.ascontiguousarray(self.z).tobytes())
@@ -211,7 +209,7 @@ class ConstantParams:
     mu: np.ndarray  # (d,)
     sigma: np.ndarray  # (d, d)
 
-    def at(self, n: int, s: np.ndarray):
+    def at(self, n: int):
         return self.mu, self.sigma
 
 
@@ -226,7 +224,7 @@ class PathParams:
     mu_path: np.ndarray
     sigma_path: np.ndarray
 
-    def at(self, n: int, s: np.ndarray):
+    def at(self, n: int):
         return self.mu_path[..., n, :], self.sigma_path[..., n, :, :]
 
 
@@ -259,7 +257,7 @@ def simulate_euler(grid: TimeGrid, params, s0, increments: NoiseIncrements) -> P
     """Euler path recursion in the multiplicative convention.
 
     ``params`` provides relative per-step coefficients via
-    ``params.at(n, s) -> (mu_n, sigma_n)`` with shapes broadcastable to
+    ``params.at(n) -> (mu_n, sigma_n)`` with shapes broadcastable to
     (B, d) and (B, d, d).  If a step would push a price to zero or below
     it is clamped at PRICE_FLOOR and the path flagged.
     """
@@ -275,7 +273,7 @@ def simulate_euler(grid: TimeGrid, params, s0, increments: NoiseIncrements) -> P
     s[:, 0, :] = s0
     floored = np.zeros(b, dtype=bool)
     for n in range(n_steps):
-        mu_n, sig_n = params.at(n, s[:, n, :])
+        mu_n, sig_n = params.at(n)
         mu_n = np.asarray(mu_n, dtype=np.float64)
         sig_n = np.asarray(sig_n, dtype=np.float64)
         if not (np.all(np.isfinite(mu_n)) and np.all(np.isfinite(sig_n))):
@@ -304,17 +302,10 @@ class NoisyMarketScenario:
 
     Gaussian noise is applied entrywise to the vol matrix and drift vector;
     the implied covariance sigma @ sigma.T is then PSD by construction.
-    ``kind`` is one of constant (one draw held fixed), non_constant (fresh
-    draw each step) or cumulative (a Brownian parameter path started at the
-    reference whose final step has the configured standard deviation).
     """
 
-    kind: str
     mu_path: np.ndarray  # (N, d)
     sigma_path: np.ndarray  # (N, d, d)
-    vol_scale: float
-    drift_scale: float
-    index: int
 
     def params(self) -> PathParams:
         return PathParams(mu_path=self.mu_path, sigma_path=self.sigma_path)
@@ -327,7 +318,12 @@ class NoisyMarketScenario:
 def make_noisy_pool(ref: ReferenceMarket, kind: str, vol_scale: float,
                     drift_scale: float, n_pool: int, grid: TimeGrid,
                     seed: int) -> list[NoisyMarketScenario]:
-    """Sample an n_pool-sized scenario pool around the reference market."""
+    """Sample an n_pool-sized scenario pool around the reference market.
+
+    ``kind`` is one of constant (one draw held fixed), non_constant (fresh
+    draw each step) or cumulative (a Brownian parameter path started at the
+    reference whose final step has the configured standard deviation).
+    """
     if kind not in NOISE_KINDS:
         raise MarketError(f"unknown noise kind {kind!r}")
     if vol_scale < 0 or drift_scale < 0:
@@ -357,9 +353,7 @@ def make_noisy_pool(ref: ReferenceMarket, kind: str, vol_scale: float,
                 wm = np.cumsum(rng.standard_normal((n - 1, d)) * step, axis=0)
                 sig[1:] += vol_scale * ws
                 mu[1:] += drift_scale * wm
-        out.append(NoisyMarketScenario(kind=kind, mu_path=mu, sigma_path=sig,
-                                       vol_scale=vol_scale, drift_scale=drift_scale,
-                                       index=j))
+        out.append(NoisyMarketScenario(mu_path=mu, sigma_path=sig))
     return out
 
 
@@ -417,19 +411,3 @@ def simulate_student_t(market: StudentTMarket, grid: TimeGrid, s0: float,
     log_s = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(lr, axis=1)], axis=1)
     s = float(s0) * np.exp(log_s)[:, :, None]
     return PathBatch(grid=grid, s=s, floored=np.zeros(n_paths, dtype=bool))
-
-
-# ----------------------------------------------------------------------
-# CSV export
-# ----------------------------------------------------------------------
-def export_paths_csv(batch: PathBatch, path) -> None:
-    """Write paths as rows (t, path_id, S_1..S_d)."""
-    times = batch.grid.times
-    d = batch.d
-    with open(path, "w") as fh:
-        cols = ",".join(f"S_{i + 1}" for i in range(d))
-        fh.write(f"t,path_id,{cols}\n")
-        for b in range(batch.n_paths):
-            for n, t in enumerate(times):
-                vals = ",".join(f"{v:.17g}" for v in batch.s[b, n])
-                fh.write(f"{t:.17g},{b},{vals}\n")

@@ -71,9 +71,6 @@ class ParamSet:
                         v={k: v.copy() for k, v in self.v.items()},
                         step=self.step)
 
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.arrays[k].ravel() for k in self.names])
-
 
 def _uniform_init(rng, fan_in: int, shape) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)
@@ -89,7 +86,7 @@ class _Net:
     def __init__(self, spec: NetSpec):
         self.spec = spec
 
-    def init(self, rng, head_bias=None, zero_head: bool = False) -> ParamSet:
+    def init(self, rng, head_bias=None) -> ParamSet:
         raise NotImplementedError
 
     def apply(self, params, n, inp, hidden):
@@ -97,7 +94,7 @@ class _Net:
 
 
 class FeedForward(_Net):
-    def init(self, rng, head_bias=None, zero_head=False) -> ParamSet:
+    def init(self, rng, head_bias=None) -> ParamSet:
         arrays = {}
         sizes = _layer_sizes(self.spec)
         last = len(sizes) - 1
@@ -105,7 +102,7 @@ class FeedForward(_Net):
             name = "out" if i == last else f"h{i}"
             arrays[f"{name}.W"] = _uniform_init(rng, fin, (fin, fout))
             arrays[f"{name}.b"] = _uniform_init(rng, fin, (fout,))
-        _apply_head_init(arrays, "out", head_bias, zero_head)
+        _apply_head_init(arrays, "out", head_bias)
         return ParamSet(arrays=arrays)
 
     def apply(self, params, n, inp, hidden):
@@ -116,7 +113,7 @@ class FeedForward(_Net):
 
 
 class Recurrent(_Net):
-    def init(self, rng, head_bias=None, zero_head=False) -> ParamSet:
+    def init(self, rng, head_bias=None) -> ParamSet:
         spec = self.spec
         arrays = {
             "rnn.Wx": _uniform_init(rng, spec.in_dim, (spec.in_dim, spec.width)),
@@ -125,7 +122,7 @@ class Recurrent(_Net):
             "out.W": _uniform_init(rng, spec.width, (spec.width, spec.out_dim)),
             "out.b": _uniform_init(rng, spec.width, (spec.out_dim,)),
         }
-        _apply_head_init(arrays, "out", head_bias, zero_head)
+        _apply_head_init(arrays, "out", head_bias)
         return ParamSet(arrays=arrays)
 
     def apply(self, params, n, inp, hidden):
@@ -140,7 +137,7 @@ class Recurrent(_Net):
 class TimeGridNet(_Net):
     "Independent feed-forward parameters for every time step."
 
-    def init(self, rng, head_bias=None, zero_head=False) -> ParamSet:
+    def init(self, rng, head_bias=None) -> ParamSet:
         arrays = {}
         sizes = _layer_sizes(self.spec)
         last = len(sizes) - 1
@@ -149,7 +146,7 @@ class TimeGridNet(_Net):
                 name = "out" if i == last else f"h{i}"
                 arrays[f"s{n}.{name}.W"] = _uniform_init(rng, fin, (fin, fout))
                 arrays[f"s{n}.{name}.b"] = _uniform_init(rng, fin, (fout,))
-            _apply_head_init(arrays, f"s{n}.out", head_bias, zero_head)
+            _apply_head_init(arrays, f"s{n}.out", head_bias)
         return ParamSet(arrays=arrays)
 
     def apply(self, params, n, inp, hidden):
@@ -160,11 +157,9 @@ class TimeGridNet(_Net):
                      act=False), hidden
 
 
-def _apply_head_init(arrays, prefix, head_bias, zero_head):
-    if zero_head or head_bias is not None:
-        arrays[f"{prefix}.W"] = np.zeros_like(arrays[f"{prefix}.W"])
-        arrays[f"{prefix}.b"] = np.zeros_like(arrays[f"{prefix}.b"])
+def _apply_head_init(arrays, prefix, head_bias):
     if head_bias is not None:
+        arrays[f"{prefix}.W"] = np.zeros_like(arrays[f"{prefix}.W"])
         arrays[f"{prefix}.b"] = np.asarray(head_bias, dtype=np.float64).copy()
 
 
@@ -217,12 +212,6 @@ def forward_market(net: _Net, params, n: int, t_norm: float, s, x, hidden):
     mu = out[:, :d]
     sigma = reshape(out[:, d:], (b, d, d))
     return mu, sigma, hidden
-
-
-def unpack_market_output(flat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split a (d + d*d) output row into drift and vol blocks."""
-    flat = np.asarray(flat, dtype=np.float64)
-    return flat[:d], flat[d:].reshape(d, d)
 
 
 # ----------------------------------------------------------------------
@@ -325,7 +314,3 @@ class NeuralPolicy:
 
 def spec_to_dict(spec: NetSpec) -> dict:
     return asdict(spec)
-
-
-def spec_from_dict(d: dict) -> NetSpec:
-    return NetSpec(**d)

@@ -116,34 +116,10 @@ class WealthLedger:
     step_costs: np.ndarray  # (B, N)
     defaulted: np.ndarray  # (B,) bool
     default_step: np.ndarray  # (B,) first n with X_{t_n} <= 0, else -1
-    x0: float
 
     @property
     def terminal(self) -> np.ndarray:
         return self.x[:, -1]
-
-    @property
-    def cum_costs(self) -> np.ndarray:
-        return np.cumsum(self.step_costs, axis=1)
-
-    def export_csv(self, path, grid) -> None:
-        """Rows (t, path_id, X, H_1..H_d, A_1..A_d, C)."""
-        times = grid.times
-        b, n, d = self.holdings.shape
-        with open(path, "w") as fh:
-            hcols = ",".join(f"H_{i + 1}" for i in range(d))
-            acols = ",".join(f"A_{i + 1}" for i in range(d))
-            fh.write(f"t,path_id,X,{hcols},{acols},C\n")
-            cum = self.cum_costs
-            for p in range(b):
-                for k in range(n):
-                    hh = ",".join(f"{v:.17g}" for v in self.holdings[p, k])
-                    aa = ",".join(f"{v:.17g}" for v in self.traded[p, k])
-                    fh.write(f"{times[k]:.17g},{p},{self.x[p, k]:.17g},{hh},{aa},"
-                             f"{cum[p, k]:.17g}\n")
-                hh = ",".join("0" for _ in range(d))
-                fh.write(f"{times[n]:.17g},{p},{self.x[p, n]:.17g},{hh},{hh},"
-                         f"{cum[p, n - 1]:.17g}\n")
 
 
 def roll_out(policy: Policy, paths: PathBatch, x0: float, rate: float,
@@ -187,4 +163,4 @@ def roll_out(policy: Policy, paths: PathBatch, x0: float, rate: float,
         default_step[newly] = n + 1
     return WealthLedger(x=ledger_x, weights=w_rec, holdings=h_rec, traded=a_rec,
                         step_costs=c_rec, defaulted=default_step >= 0,
-                        default_step=default_step, x0=float(x0))
+                        default_step=default_step)

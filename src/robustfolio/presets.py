@@ -22,7 +22,7 @@ import numpy as np
 
 from .closed_form import (SaddleSolution, solve_1d_robust_vol,
                           solve_fully_robust, solve_multid_robust_vol)
-from .market import ReferenceMarket, StudentTMarket, TimeGrid
+from .market import ReferenceMarket, StudentTMarket, TimeGrid, substream
 from .portfolio import CostSpec
 from .training import TrainConfig, ValidationSpec
 from .utility import PenaltySpec, PowerUtility
@@ -257,8 +257,8 @@ def resolve(cfg: ExperimentConfig) -> RunSpec:
     garch_model = None
     if raw["garch_pools"]:
         fit_steps = _scaled(raw["garch_fit_steps"], cfg.scale, 500)
-        fit_seed = int(np.random.SeedSequence([cfg.seed, 41]).generate_state(1)[0])
-        garch_model = fit_reference_garch(market, grid, fit_steps, fit_seed)
+        garch_model = fit_reference_garch(market, grid, fit_steps,
+                                          substream(cfg.seed, 41))
 
     val_kind = raw["val_kind"]
     explicit_drift = explicit_cov = None

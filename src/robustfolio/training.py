@@ -89,8 +89,6 @@ class TrainConfig:
     lr: float = 5e-4
     lr_decay: float = 0.2
     lr_every: int = 100
-    betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
     gen_steps: int = 1
     disc_steps: int = 1
     arch: str = "ffnn"
@@ -98,7 +96,6 @@ class TrainConfig:
     depth: int = 1
     validation: ValidationSpec = field(default_factory=ValidationSpec)
     seed: int = 0
-    wealth_floor: float = 1e-6
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -120,8 +117,7 @@ class TrainConfig:
 @dataclass
 class EpochRecord:
     epoch: int
-    gen_loss: float
-    disc_loss: float
+    gen_loss: float  # the market's loss is its negative
     val_metric: float
     lr: float
 
@@ -221,7 +217,7 @@ def forward_episode(z_batch: np.ndarray, gen_params, disc_params,
                 mu_stack = concat([reshape(m, (b, 1, d)) for m in mu_rows], axis=1)
             penalty = penalty_instant(spec, cov, mu_stack, grid)
 
-    u_vals = cfg.utility.graph(x, cfg.wealth_floor)
+    u_vals = cfg.utility.graph(x)
     gen_loss = -u_vals.mean()
     if penalty is not None:
         gen_loss = gen_loss - penalty
@@ -298,13 +294,17 @@ def train(cfg: TrainConfig, z_train, z_val=None, out_dir=None,
     latest/best checkpoints are written; ``resume`` continues a previous
     run from its latest checkpoint, including RNG state, and raises a
     ValueError if that checkpoint was written for other network specs or
-    another seed.
+    another seed, or if its Adam step counts disagree with its epoch.
     """
     gen, disc = init_networks(cfg)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
     history: list[EpochRecord] = []
     best: BestSnapshot | None = None
     start_epoch = 0
+    batches_per_epoch = max(1, z_train.n_paths // cfg.batch_size)
+    roles = ["gen"] * cfg.gen_steps + ["disc"] * cfg.disc_steps
+    if cfg.mode == "non_robust":
+        roles = ["gen"]
 
     if out_dir is not None:
         import os
@@ -315,18 +315,18 @@ def train(cfg: TrainConfig, z_train, z_val=None, out_dir=None,
             gen, disc, meta = load_checkpoint(latest)
             _check_resumable(meta, cfg)
             start_epoch = meta["epoch"] + 1
+            _check_adam_steps(latest, meta["epoch"], start_epoch * batches_per_epoch,
+                              roles, gen, disc)
             shuffle_rng.bit_generator.state = meta["rng_shuffle"]
-            history = [EpochRecord(**row) for row in meta["history"]]
+            # rows written before the disc_loss column was dropped still load
+            history = [EpochRecord(r["epoch"], r["gen_loss"], r["val_metric"], r["lr"])
+                       for r in meta["history"]]
             if meta.get("best_epoch") is not None:
                 bg, _, _ = load_checkpoint(os.path.join(out_dir, "checkpoint_best.npz"))
                 best = BestSnapshot(arrays=bg.arrays, metric=meta["best_metric"],
                                     epoch=meta["best_epoch"])
 
     val_batch = validation_paths(cfg, z_val)
-    batches_per_epoch = max(1, z_train.n_paths // cfg.batch_size)
-    roles = ["gen"] * cfg.gen_steps + ["disc"] * cfg.disc_steps
-    if cfg.mode == "non_robust":
-        roles = ["gen"]
     iteration = start_epoch * batches_per_epoch
 
     for epoch in range(start_epoch, cfg.epochs):
@@ -349,8 +349,7 @@ def train(cfg: TrainConfig, z_train, z_val=None, out_dir=None,
                     f"non-finite loss at epoch {epoch}, iteration {iteration}")
             episode.gen_loss.backward()
             # the market maximizes the generator's loss
-            adam_step(trained, _grads_for(trained, tensors, negate=role == "disc"),
-                      lr, cfg.betas, cfg.adam_eps)
+            adam_step(trained, _grads_for(trained, tensors, negate=role == "disc"), lr)
             gen_losses.append(loss)
             iteration += 1
 
@@ -366,7 +365,7 @@ def train(cfg: TrainConfig, z_train, z_val=None, out_dir=None,
         else:
             metric = float("nan")
         history.append(EpochRecord(epoch=epoch, gen_loss=mean_loss,
-                                   disc_loss=-mean_loss, val_metric=metric, lr=lr))
+                                   val_metric=metric, lr=lr))
         if out_dir is not None:
             _write_artifacts(out_dir, cfg, gen, disc, best, history, shuffle_rng)
 
@@ -384,10 +383,23 @@ def _check_resumable(meta: dict, cfg: TrainConfig) -> None:
                              f"does not match the configuration's {want!r}")
 
 
+def _check_adam_steps(path, epoch: int, iterations: int, roles, gen, disc) -> None:
+    """Refuse a checkpoint whose Adam step counts are not those its epoch
+    implies: a crash between the npz and the sidecar write leaves a later
+    epoch's parameters beside an earlier epoch's sidecar."""
+    full, rest = divmod(iterations, len(roles))
+    for tag, ps in (("gen", gen), ("disc", disc)):
+        want = full * roles.count(tag) + roles[:rest].count(tag)
+        if ps.step != want:
+            raise ValueError(f"cannot resume: {path} holds {ps.step} {tag} Adam "
+                             f"steps, but its epoch {epoch} implies {want}")
+
+
 def _write_artifacts(out_dir, cfg, gen, disc, best, history, shuffle_rng):
     """metrics.csv, the best and then the latest checkpoint, each moved into
     place whole.  The latest sidecar goes last: until it names the new
-    epoch, a resume repeats that epoch and rewrites the same files."""
+    epoch, a resume repeats that epoch and rewrites the same files, unless
+    the latest npz was already replaced, which the resume refuses."""
     import os
 
     rows = [vars(r) for r in history]
@@ -404,10 +416,9 @@ def _write_artifacts(out_dir, cfg, gen, disc, best, history, shuffle_rng):
         "best_metric": best.metric if best else None,
     }
     with atomic_write(os.path.join(out_dir, "metrics.csv")) as fh:
-        fh.write("epoch,gen_loss,disc_loss,val_metric,lr\n")
+        fh.write("epoch,gen_loss,val_metric,lr\n")
         for r in history:
-            fh.write(f"{r.epoch},{r.gen_loss:.17g},{r.disc_loss:.17g},"
-                     f"{r.val_metric:.17g},{r.lr:.17g}\n")
+            fh.write(f"{r.epoch},{r.gen_loss:.17g},{r.val_metric:.17g},{r.lr:.17g}\n")
     if best is not None:
         save_checkpoint(os.path.join(out_dir, "checkpoint_best.npz"),
                         ParamSet(arrays=best.arrays), None,

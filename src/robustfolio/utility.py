@@ -69,10 +69,6 @@ class PowerUtility:
             return (xf ** q - 1.0) * (1.0 / q)
         return xf ** q * (1.0 / q)
 
-    def label(self) -> str:
-        base = "u" if self.shifted else "u~"
-        return f"{base}_{self.p:g}"
-
 
 PENALTY_KINDS = ("additive", "multiplicative", "vol", "pathwise")
 

@@ -1,3 +1,4 @@
+import builtins
 import json
 import os
 
@@ -145,6 +146,19 @@ class TestGenData:
         assert main(args) == 0
         assert inc_path.read_bytes() == good
 
+    def test_file_of_another_seed_or_dimension_is_regenerated(self, tmp_path, capsys):
+        args = ["gen-data", "--preset", "vol1d", "--scale", "0.002",
+                "--override", "batch_size=100", "--seed", "4", "--out", str(tmp_path)]
+        assert main(args) == 0
+        (run_dir,) = _run_dirs(tmp_path)
+        inc_path = tmp_path / run_dir / "increments.bin"
+        good = inc_path.read_bytes()
+        inc = NoiseIncrements.load(inc_path)
+        for seed, d in ((5, inc.d), (4, 2)):  # same B and N, other header
+            NoiseIncrements.generate(seed, inc.n_paths, inc.n_steps, d).save(inc_path)
+            assert main(args) == 0
+            assert inc_path.read_bytes() == good
+
 
 def test_evaluate_simulates_each_scenario_once(tmp_path, monkeypatch, capsys):
     calls = []
@@ -245,6 +259,63 @@ def test_report_table_survives_a_crash(tmp_path, monkeypatch, capsys):
     assert main(args) == 0
     assert set(_read_table(tmp_path / run_dir / "report.csv")) == {
         "cash", "merton", "no-trade"}
+
+
+def _fail_writing(monkeypatch, name):
+    """Make a write to ``name`` (or to its temporary) put down half its bytes
+    and then raise, as a full disk would."""
+    real_open = builtins.open
+
+    class HalfThenFail:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError("disk full")
+
+    def patched(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and os.path.basename(str(file)) in (name, f"{name}.tmp"):
+            return HalfThenFail(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", patched)
+
+
+SMALL_T = ["--preset", "student-t-20", "--scale", "0.002", "--override",
+           "eval_b_ref=200", "--override", "eval_b_test=100", "--override",
+           "eval_n_pool=2", "--override", "batch_size=100"]
+CRASH_ARGV = {  # run-directory file -> the command that writes it
+    "config.json": ["evaluate", *SMALL_T],
+    "report_cash.json": ["evaluate", *SMALL_T],
+    "histogram_cash.csv": ["evaluate", *SMALL_T],
+    "increments.bin": ["gen-data", *SMALL_T],
+    "surface.csv": ["grid-search", *SMALL_T, "--override", "epochs=1",
+                    "--override", "width=4", "--lam1", "1", "--lam2", "1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRASH_ARGV))
+def test_run_file_survives_a_crash(tmp_path, monkeypatch, capsys, name):
+    argv = [*CRASH_ARGV[name], "--out", str(tmp_path)]
+    assert main(argv) == 0
+    (path,) = tmp_path.glob(f"*/{name}")
+    if name == "increments.bin":
+        path.write_bytes(path.read_bytes()[:-8])  # unreadable: gen-data rewrites it
+    before = path.read_bytes()
+    _fail_writing(monkeypatch, name)
+    with pytest.raises(OSError, match="disk full"):
+        main(argv)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert not list(tmp_path.glob("*/*.tmp"))
 
 
 @pytest.mark.slow

@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import brentq
 
 from robustfolio.closed_form import (NoTradePolicy, NoTradeRegion, SolverError,
-                                     merton_weight, no_trade_step, oracle_weight,
+                                     merton_weight, no_trade_step,
                                      solve_1d_robust_vol, solve_fully_robust,
                                      solve_multid_robust_vol)
 
@@ -144,24 +144,6 @@ class TestMertonAndOracle:
     def test_merton_validation(self):
         with pytest.raises(SolverError):
             merton_weight(0.04, 0.0, 0.5)
-
-    def test_oracle_identity(self):
-        out = oracle_weight(np.eye(2), np.array([1.0, 0.0]), 0.0)
-        assert np.allclose(out, [1.0, 0.0])
-
-    def test_oracle_diagonal(self):
-        out = oracle_weight(np.diag([0.0225, 0.1225]), np.array([0.035, 0.055]),
-                            0.015)
-        assert np.allclose(out, [0.8889, 0.3265], atol=1e-4)
-
-    def test_oracle_reference_collapse(self):
-        cov = VOLS["as"] @ VOLS["as"].T
-        out = oracle_weight(cov, np.array([0.035, 0.055]), 0.015)
-        assert np.allclose(out, np.linalg.solve(cov, [0.02, 0.04]))
-
-    def test_oracle_singular(self):
-        with pytest.raises(SolverError, match="singular"):
-            oracle_weight(np.zeros((2, 2)), np.array([0.1, 0.1]), 0.0)
 
 
 class TestNoTradeRegion:

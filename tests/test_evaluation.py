@@ -4,8 +4,8 @@ import pytest
 from robustfolio.closed_form import (NoTradePolicy, NoTradeRegion,
                                      solve_fully_robust)
 from robustfolio.evaluation import (EvalReport, UtilityEstimate, discount,
-                                    evaluate_policies, expected_utility,
-                                    expected_utility_on, histogram_report,
+                                    evaluate_policies, expected_utility_on,
+                                    histogram_report,
                                     pooled_min_utilities, pooled_min_utility,
                                     relative_error, simulate_scenario,
                                     value_at_risk, write_reports_csv)
@@ -40,24 +40,24 @@ class TestExpectedUtility:
         ]
         for utility, rate, expected in cases:
             mkt = ReferenceMarket(drift=[0.055], vol=[[0.35]], rate=rate, s0=[1.0])
-            est = expected_utility(CashPolicy(), mkt, grid, mkt.s0, 1.0, rate,
-                                   CostSpec(c_prop=0.01), utility, 200, seed=1)
+            paths = simulate_scenario(mkt, grid, mkt.s0, 200, seed=1)
+            est = expected_utility_on(CashPolicy(), paths, 1.0, rate,
+                                      CostSpec(c_prop=0.01), utility)
             assert est.value == pytest.approx(expected, abs=5e-5)
             assert est.std_error == pytest.approx(0.0, abs=1e-15)
 
     def test_std_error_scales_inverse_sqrt(self, grid, market):
         pol = ConstantWeightPolicy(0.6)
-        small = expected_utility(pol, market, grid, market.s0, 1.0, 0.015,
-                                 CostSpec(), PowerUtility(1.0), 2000, seed=2)
-        big = expected_utility(pol, market, grid, market.s0, 1.0, 0.015,
-                               CostSpec(), PowerUtility(1.0), 8000, seed=2)
+        small, big = (expected_utility_on(
+            pol, simulate_scenario(market, grid, market.s0, b, seed=2), 1.0,
+            0.015, CostSpec(), PowerUtility(1.0)) for b in (2000, 8000))
         assert small.std_error / big.std_error == pytest.approx(2.0, rel=0.15)
 
     def test_default_reports_neg_inf(self, grid):
         m = StudentTMarket(nu=3.5, mu=0.10, scale=0.35, rate=0.03)
-        est = expected_utility(ConstantWeightPolicy(1.2), m, grid, [1.0], 1.0,
-                               0.03, CostSpec(), PowerUtility(0.5, shifted=False),
-                               40_000, seed=0)
+        paths = simulate_scenario(m, grid, [1.0], 40_000, seed=0)
+        est = expected_utility_on(ConstantWeightPolicy(1.2), paths, 1.0, 0.03,
+                                  CostSpec(), PowerUtility(0.5, shifted=False))
         assert np.isneginf(est.value)
         assert est.n_defaults > 0
 
@@ -147,9 +147,8 @@ class TestRelativeError:
     def test_accepts_saddle_solution(self, grid):
         sol = solve_fully_robust([0.035, 0.055], 0.015,
                                  np.diag([0.0225, 0.1225]), 1.0, 1.0)
-        mkt = ReferenceMarket.from_cov(sol.drift, sol.cov, 0.015, [1.0, 1.0])
         res = relative_error(ConstantWeightPolicy(sol.weights), sol, sol.drift,
-                             sol.cov, grid, mkt.s0, 1.0, 0.015, CostSpec(),
+                             sol.cov, grid, [1.0, 1.0], 1.0, 0.015, CostSpec(),
                              PowerUtility(1.0), 300, seed=13)
         assert res.err_rel == 0.0
 

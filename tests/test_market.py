@@ -3,8 +3,8 @@ import pytest
 
 from robustfolio.market import (MarketError, NoiseIncrements, PathParams,
                                 ReferenceMarket, StudentTMarket, TimeGrid,
-                                export_paths_csv, make_noisy_pool, repair_psd,
-                                simulate_euler, simulate_student_t)
+                                make_noisy_pool, repair_psd, simulate_euler,
+                                simulate_student_t)
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,8 @@ class TestTimeGrid:
 class TestReferenceMarket:
     def test_from_cov_round_trip(self):
         cov = np.array([[0.0625, 0.01], [0.01, 0.04]])
-        mkt = ReferenceMarket.from_cov([0.03, 0.05], cov, 0.015, [1.0, 1.0])
+        mkt = ReferenceMarket(drift=[0.03, 0.05], vol=np.linalg.cholesky(cov),
+                              rate=0.015, s0=[1.0, 1.0])
         assert np.allclose(mkt.cov, cov)
         assert mkt.d == 2
 
@@ -219,8 +220,9 @@ class TestNoisyPool:
         pool = make_noisy_pool(market_1d, "cumulative", 0.075, 0.01, 1000,
                                grid65, seed=5)
         assert len(pool) == 1000
-        assert {sc.kind for sc in pool} == {"cumulative"}
-        assert pool[0].vol_scale == 0.075 and pool[0].drift_scale == 0.01
+        # cumulative: every scenario starts at the reference market
+        assert all(np.array_equal(sc.sigma_path[0], market_1d.vol) for sc in pool)
+        assert all(np.array_equal(sc.mu_path[0], market_1d.drift) for sc in pool)
 
     def test_invalid_arguments(self, grid65, market_1d):
         with pytest.raises(MarketError):
@@ -276,13 +278,3 @@ class TestStudentT:
     def test_nu_must_exceed_two(self):
         with pytest.raises(MarketError):
             StudentTMarket(nu=2.0, mu=0.1, scale=0.35, rate=0.03)
-
-
-def test_export_paths_csv(tmp_path, grid65, market_1d):
-    inc = NoiseIncrements.generate(0, 2, 65, 1)
-    batch = simulate_euler(grid65, market_1d.params(), market_1d.s0, inc)
-    out = tmp_path / "paths.csv"
-    export_paths_csv(batch, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "t,path_id,S_1"
-    assert len(lines) == 1 + 2 * 66

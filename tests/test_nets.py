@@ -5,8 +5,7 @@ from robustfolio.autodiff import Tensor, raw
 from robustfolio.nets import (NetSpec, ParamSet, adam_step, build_net,
                               forward_market, forward_policy, load_checkpoint,
                               lr_schedule, market_head_bias, market_spec,
-                              policy_spec, save_checkpoint, spec_from_dict,
-                              spec_to_dict, unpack_market_output)
+                              policy_spec, save_checkpoint, spec_to_dict)
 
 
 def _init(spec, seed=0, **kw):
@@ -30,13 +29,13 @@ class TestSpecs:
 
     def test_spec_dict_round_trip(self):
         spec = NetSpec(in_dim=4, out_dim=2, arch="time_grid", width=8, n_steps=5)
-        assert spec_from_dict(spec_to_dict(spec)) == spec
+        assert NetSpec(**spec_to_dict(spec)) == spec
 
 
 class TestForward:
     def test_zero_head_outputs_zero_weights(self):
         spec = policy_spec(2, width=8)
-        params = _init(spec, zero_head=True)
+        params = _init(spec, head_bias=np.zeros(2))
         net = build_net(spec)
         s = np.random.default_rng(1).uniform(0.5, 2.0, size=(6, 2))
         pi, _ = forward_policy(net, params.arrays, 0, 0.3, s, np.ones(6), None)
@@ -92,9 +91,9 @@ class TestForward:
         mu = np.array([0.1, 0.2])
         vol = np.array([[1.0, 2.0], [3.0, 4.0]])
         flat = market_head_bias(mu, vol)
-        mu2, vol2 = unpack_market_output(flat, 2)
-        assert np.array_equal(mu, mu2)
-        assert np.array_equal(vol, vol2)
+        # forward_market reads drift from the first d outputs, vol row-major after
+        assert np.array_equal(mu, flat[:2])
+        assert np.array_equal(vol, flat[2:].reshape(2, 2))
 
     def test_forward_perturbation_changes_output(self):
         spec = market_spec(1, width=8)
@@ -268,7 +267,7 @@ def test_init_is_seed_deterministic():
 
 def test_paramset_flat_and_copy():
     ps = _init(policy_spec(1, width=4), seed=1)
-    flat = ps.flat()
+    flat = np.concatenate([ps.arrays[k].ravel() for k in ps.names])
     assert flat.size == ps.n_params
     cp = ps.copy()
     cp.arrays[cp.names[0]][...] = 99.0

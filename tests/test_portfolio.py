@@ -191,17 +191,17 @@ class TestRollOut:
         with pytest.raises(ValueError, match="path 1"):
             roll_out(Broken(), batch, 1.0, RATE, CostSpec())
 
-    def test_ledger_csv_export(self, tmp_path, grid, market):
+    def test_ledger_records_every_step(self, grid, market):
         inc = NoiseIncrements.generate(9, 2, 65, 1)
         batch = simulate_euler(grid, market.params(), market.s0, inc)
         ledger = roll_out(ConstantWeightPolicy(0.5), batch, 1.0, RATE,
                           CostSpec(c_prop=0.01))
-        out = tmp_path / "ledger.csv"
-        ledger.export_csv(out, grid)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "t,path_id,X,H_1,A_1,C"
-        assert len(lines) == 1 + 2 * 66
-        assert ledger.cum_costs[:, -1].min() > 0
+        assert ledger.x.shape == (2, 66) and ledger.x[0, 0] == 1.0
+        for arr in (ledger.weights, ledger.holdings, ledger.traded):
+            assert arr.shape == (2, 65, 1)
+        assert np.all(ledger.weights == 0.5)
+        # rebalancing to constant weights trades, and pays, on every step
+        assert ledger.step_costs.shape == (2, 65) and ledger.step_costs.min() > 0
 
 
 def test_negative_costs_rejected():

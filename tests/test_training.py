@@ -123,10 +123,20 @@ class TestForwardEpisode:
 
 class TestTrainLoop:
     def test_zero_sum_bookkeeping(self):
-        cfg = _config(mode="fully_robust", penalty_kind="additive", epochs=3)
-        state = train(cfg, *_data(cfg))
-        for rec in state.history:
-            assert rec.gen_loss + rec.disc_loss == 0.0
+        # the market ascends the loss the generator descends: market-only
+        # steps from the initial nets raise the generator's loss
+        cfg = _config(mode="fully_robust", penalty_kind="additive", epochs=1,
+                      gen_steps=0)
+        z_train, z_val = _data(cfg)
+        gen0, disc0 = init_networks(cfg)
+        state = train(cfg, z_train, z_val)
+        assert state.gen.step == 0 and state.disc.step == 200 // 50
+
+        def loss(disc):
+            return float(raw(forward_episode(z_train.z, gen0.arrays, disc.arrays,
+                                             cfg).gen_loss))
+
+        assert loss(state.disc) > loss(disc0)
 
     def test_non_robust_never_touches_discriminator(self):
         cfg = _config(mode="non_robust", epochs=3)
@@ -184,18 +194,50 @@ class TestTrainLoop:
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         import dataclasses
+        import json
 
         cfg6 = _config(mode="vol_robust", epochs=6, val_kind="reference")
         z_train, z_val = _data(cfg6)
         full = train(cfg6, z_train, z_val, out_dir=str(tmp_path / "full"))
         cfg3 = dataclasses.replace(cfg6, epochs=3)
         train(cfg3, z_train, z_val, out_dir=str(tmp_path / "resumed"))
+        # history rows of earlier versions carry disc_loss; they still resume
+        sidecar = tmp_path / "resumed" / "checkpoint_latest.npz.json"
+        meta = json.loads(sidecar.read_text())
+        for row in meta["history"]:
+            row["disc_loss"] = -row["gen_loss"]
+        sidecar.write_text(json.dumps(meta))
         resumed = train(cfg6, z_train, z_val, out_dir=str(tmp_path / "resumed"),
                         resume=True)
-        for k in full.gen.names:
-            assert np.array_equal(full.gen.arrays[k], resumed.gen.arrays[k])
+        for got, ref in ((resumed.gen, full.gen), (resumed.disc, full.disc)):
+            assert got.step == ref.step
+            for k in ref.names:
+                for attr in ("arrays", "m", "v"):
+                    assert np.array_equal(getattr(got, attr)[k], getattr(ref, attr)[k])
         assert [r.val_metric for r in full.history] == \
                [r.val_metric for r in resumed.history]
+
+    def test_resume_refuses_a_torn_checkpoint(self, tmp_path, monkeypatch):
+        import json
+
+        cfg = _config(mode="vol_robust", epochs=2)
+        data = _data(cfg)
+        real_dump = json.dump
+
+        def dump_or_crash(doc, fh, **kwargs):
+            if doc.get("epoch") == 1 and "history" in doc:  # epoch 1's latest
+                raise OSError("disk full")
+            real_dump(doc, fh, **kwargs)
+
+        monkeypatch.setattr(json, "dump", dump_or_crash)
+        with pytest.raises(OSError, match="disk full"):
+            train(cfg, *data, out_dir=str(tmp_path))
+        monkeypatch.undo()
+        # epoch 1's parameters sit beside epoch 0's sidecar: 4 generator
+        # steps, where epoch 0's 4 alternating iterations imply 2
+        with pytest.raises(ValueError, match=r"checkpoint_latest\.npz holds 4 gen "
+                                             r"Adam steps, but its epoch 0 implies 2"):
+            train(cfg, *data, out_dir=str(tmp_path), resume=True)
 
     def test_resume_refuses_a_mismatched_checkpoint(self, tmp_path):
         import dataclasses
@@ -255,7 +297,7 @@ class TestTrainLoop:
         cfg = _config(mode="non_robust", epochs=2)
         train(cfg, *_data(cfg), out_dir=str(tmp_path))
         lines = (tmp_path / "metrics.csv").read_text().splitlines()
-        assert lines[0] == "epoch,gen_loss,disc_loss,val_metric,lr"
+        assert lines[0] == "epoch,gen_loss,val_metric,lr"
         assert len(lines) == 3
 
     def test_alternation_ratio_counts_updates(self):
@@ -318,7 +360,7 @@ def _reference_epoch(cfg, z_train):
         for n in params.names:
             g = tensors[role][n].grad
             grads[n] = np.zeros_like(params.arrays[n]) if g is None else sign * g
-        adam_step(params, grads, lr, cfg.betas, cfg.adam_eps)
+        adam_step(params, grads, lr)
     return gen, disc
 
 
