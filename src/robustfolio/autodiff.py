@@ -2,10 +2,12 @@
 
 Just enough primitives to push exact gradients through an unrolled trading
 episode: affine maps, tanh, log/exp/pow, broadcasted Hadamard products,
-reductions, slicing and concatenation, and ``dense``, a whole network layer
-as one graph node.  Absolute value uses the subgradient 0 at 0;
-indicator-style quantities must be computed from ``raw`` values and enter
-the graph as constants.
+reductions, slicing, concatenation and stacking, and three fused nodes with
+hand-written adjoints: ``dense`` (a whole network layer), ``split_columns``
+(the blocks of a network output) and ``euler_wealth_step`` (one Euler step
+of the prices and of the friction wealth recursion).  Absolute value uses
+the subgradient 0 at 0; indicator-style quantities must be computed from
+``raw`` values and enter the graph as constants.
 
 Memory: a backward closure hands a gradient it computed for one parent
 alone to ``_acc`` as owned, so the parent keeps that buffer instead of a
@@ -17,6 +19,9 @@ sweep only leaves hold gradients.
 from __future__ import annotations
 
 import numpy as np
+
+from .market import PRICE_FLOOR
+from .portfolio import step_wealth, sum_columns
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -323,23 +328,77 @@ class Tensor:
 
 
 def concat(parts, axis=0):
-    """Concatenate Tensors/arrays; returns a Tensor iff any part is one."""
-    if not any(isinstance(p, Tensor) for p in parts):
-        return np.concatenate(parts, axis=axis)
-    tens = [p if isinstance(p, Tensor) else Tensor(p) for p in parts]
-    out = Tensor(np.concatenate([t.data for t in tens], axis=axis), tuple(tens))
-    sizes = [t.data.shape[axis] for t in tens]
+    """Concatenate Tensors/arrays; returns a Tensor iff any part is one.
 
-    def bk(g, tens=tens, sizes=sizes, axis=axis):
-        off = 0
-        for t, n in zip(tens, sizes):
-            sl = [slice(None)] * g.ndim
+    Plain-array parts are constants: they are not wrapped as leaves and get
+    no gradient.
+    """
+    datas = [raw(p) for p in parts]
+    data = np.concatenate(datas, axis=axis)
+    tens = []
+    off = 0
+    for p, a in zip(parts, datas):
+        n = a.shape[axis]
+        if isinstance(p, Tensor):
+            tens.append((p, off, n))
+        off += n
+    if not tens:
+        return data
+    out = Tensor(data, tuple(t for t, _, _ in tens))
+
+    def bk(g, tens=tens, axis=axis):
+        sl = [slice(None)] * g.ndim
+        for t, off, n in tens:
             sl[axis] = slice(off, off + n)
             _acc(t, g[tuple(sl)])
-            off += n
 
     out._bk = bk
     return out
+
+
+def stack(parts, axis=1):
+    """``np.stack`` of Tensors/arrays as one node; a Tensor iff any part is
+    one.  Used to collect per-step rows (prices, coefficients) into paths."""
+    data = np.stack([raw(p) for p in parts], axis=axis)
+    tens = [(k, p) for k, p in enumerate(parts) if isinstance(p, Tensor)]
+    if not tens:
+        return data
+    out = Tensor(data, tuple(p for _, p in tens))
+
+    def bk(g, tens=tens, axis=axis):
+        sl = [slice(None)] * g.ndim
+        for k, t in tens:
+            sl[axis] = k
+            _acc(t, g[tuple(sl)])
+
+    out._bk = bk
+    return out
+
+
+def split_columns(x, shapes):
+    """Split the columns of a (B, k) Tensor or array into consecutive blocks
+    of the given trailing shapes, e.g. ``[(d,), (d, d)]`` for the market
+    net's drift and volatility.  Each block is a view; for a Tensor it is one
+    node, whose gradient goes into its columns of ``x``'s gradient."""
+    data = raw(x)
+    b = data.shape[0]
+    blocks = []
+    off = 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        view = data[:, off:off + size].reshape((b, *shape))
+        if isinstance(x, Tensor):
+            view = Tensor(view, (x,))
+
+            def bk(g, a=x, cols=slice(off, off + size), size=size):
+                if a.grad is None:
+                    a.grad = np.zeros_like(a.data)
+                a.grad[:, cols] += g.reshape(-1, size)
+
+            view._bk = bk
+        blocks.append(view)
+        off += size
+    return blocks
 
 
 def dense(x, W, b, act: bool = True):
@@ -380,27 +439,119 @@ def dense(x, W, b, act: bool = True):
     return out
 
 
+def euler_wealth_step(s, x, pi, h_prev, mu, sigma, dw_n, dt_n, rate, costs):
+    """One Euler step of the prices and one step of the friction wealth
+    recursion, with a hand-written adjoint.
+
+    Shapes: ``s``, ``pi``, ``h_prev`` and ``dw_n`` (B, d); wealth ``x`` (B,)
+    or (B, 1); ``mu`` (B, d) or (d,); ``sigma`` (B, d, d) or (d, d).  The
+    forward pass is the generic composition's arithmetic in its order:
+
+        ds     = s * mu * dt_n + sum_j (s[:, :, None] * sigma * dw_n[:, None, :])
+        x', h  = portfolio.step_wealth(x, pi, h_prev, s, ds, rate, dt_n, costs)
+        s'     = max(s + ds, PRICE_FLOOR)
+
+    Returns ``(s_next, x_next, h)``, with ``x_next`` in ``x``'s shape.  If
+    any input is a Tensor, the holdings ``h`` are the core node: its
+    parents are the Tensor inputs, and its closure forms the adjoints of all
+    of them.  ``s_next`` and ``x_next`` are thin nodes on top of it whose
+    closures only hand their gradients to the core, so the engine's reverse
+    topological order runs the core after both: a step is three nodes.  At
+    the non-smooth points it behaves like the composition: the base-cost
+    indicator is a constant, |.| has subgradient 0 at 0, and the gradient
+    is zero where the price floor binds.
+    """
+    sv, xv, piv, hpv = raw(s), raw(x), raw(pi), raw(h_prev)
+    muv, sigv = raw(mu), raw(sigma)
+    x_flat = xv.reshape(-1)
+    drift = sv * muv * dt_n
+    sdw = sv[:, :, None] * sigv * dw_n[:, None, :]
+    ds = drift + sum_columns(sdw)
+    x_next, h, traded, _ = step_wealth(x_flat, piv, hpv, sv, ds, rate, dt_n, costs)
+    s_raw = sv + ds
+    s_next = np.maximum(s_raw, PRICE_FLOOR)
+    x_next = x_next.reshape(xv.shape)
+    parents = tuple(p for p in (s, x, pi, h_prev, mu, sigma) if isinstance(p, Tensor))
+    if not parents:
+        return s_next, x_next, h
+    core = Tensor(h, parents)
+    out_grads = {}  # gradients of s_next and x_next, handed over by their nodes
+
+    def thin(data, key):
+        node = Tensor(data, (core,))
+
+        def bk(g):
+            out_grads[key] = g
+            if core.grad is None:  # the holdings are not used downstream
+                core.grad = np.zeros_like(h)
+
+        node._bk = bk
+        return node
+
+    def bk(g_h):
+        # g_h is the core's own buffer: the adjoint of h accumulates into it
+        g_sn = out_grads.pop("s", None)
+        g_xn = out_grads.pop("x", None)
+        # s' = max(s + ds, floor)
+        if g_sn is None:
+            g_s = np.zeros_like(sv)
+        else:
+            g_s = g_sn * (s_raw > PRICE_FLOOR)
+        g_ds = g_s.copy()
+        g_x = None
+        if g_xn is not None:  # x' = x + h.ds + (1 - sum pi) x r dt - cost
+            g_x = g_xn.reshape(-1)
+            g_col = g_x[:, None]
+            g_h += g_col * ds
+            g_ds += g_col * h
+            g_bank = g_x * (rate * dt_n)
+            g_x = g_x + g_bank * (1.0 - sum_columns(piv))
+            if not costs.frictionless:
+                # cost = (1 + r dt) sum_i (|h - h_prev| s c_prop + c_base 1{...})
+                g_abs = g_col * (-(1.0 + rate * dt_n) * costs.c_prop)
+                g_s += g_abs * traded
+                g_abs = g_abs * sv
+                g_abs *= np.sign(h - hpv)
+                g_h += g_abs
+                if isinstance(h_prev, Tensor):
+                    _acc(h_prev, np.negative(g_abs), True)
+        # h = x pi / s
+        g_xpi = g_h / sv
+        g_h *= h
+        g_h /= sv
+        g_s -= g_h
+        g_pi = g_xpi * x_flat[:, None]
+        if g_x is None:
+            g_x = np.zeros_like(x_flat)
+        else:
+            g_pi -= (g_bank * x_flat)[:, None]
+        g_x += sum_columns(g_xpi * piv)
+        # ds = s mu dt + sum_j s sigma dw
+        g_sdt = g_ds * dt_n
+        g_s += g_sdt * muv
+        g_s += g_ds * sum_columns(sigv * dw_n[:, None, :])
+        if isinstance(mu, Tensor):
+            _acc(mu, _unbroadcast(g_sdt * sv, muv.shape), True)
+        if isinstance(sigma, Tensor):
+            g_sig = g_ds[:, :, None] * dw_n[:, None, :]
+            g_sig *= sv[:, :, None]
+            _acc(sigma, _unbroadcast(g_sig, sigv.shape), True)
+        if isinstance(s, Tensor):
+            _acc(s, g_s, True)
+        if isinstance(x, Tensor):
+            _acc(x, g_x.reshape(xv.shape), True)
+        if isinstance(pi, Tensor):
+            _acc(pi, g_pi, True)
+
+    core._bk = bk
+    return thin(s_next, "s"), thin(x_next, "x"), core
+
+
 # ----------------------------------------------------------------------
 # type-dispatching helpers so forward code runs on Tensors or plain arrays
 # ----------------------------------------------------------------------
 def raw(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-
-
-def log(x):
-    return x.log() if isinstance(x, Tensor) else np.log(x)
-
-
-def exp(x):
-    return x.exp() if isinstance(x, Tensor) else np.exp(x)
-
-
-def absolute(x):
-    return x.abs() if isinstance(x, Tensor) else np.abs(x)
-
-
-def clip_floor(x, floor: float):
-    return x.clip_floor(floor) if isinstance(x, Tensor) else np.maximum(x, floor)
 
 
 def reshape(x, shape):

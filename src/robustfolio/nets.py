@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .atomic import atomic_write
-from .autodiff import Tensor, as_col, concat, dense, raw, reshape
+from .autodiff import Tensor, as_col, concat, dense, raw, split_columns
 
 ARCHS = ("ffnn", "rnn", "time_grid")
 CHECKPOINT_VERSION = 1
@@ -188,15 +188,19 @@ def market_head_bias(mu, vol) -> np.ndarray:
     return np.concatenate([mu, vol.ravel()])
 
 
-def _state_input(t_norm: float, s, x):
+def state_input(t_norm: float, s, x):
+    """Network input (t/T, S, X) as one (B, d+2) block; ``x`` is (B,) or a
+    (B, 1) column."""
     b = raw(s).shape[0]
     t_col = np.full((b, 1), float(t_norm))
-    return concat([t_col, s, as_col(x)], axis=1)
+    if raw(x).ndim == 1:
+        x = as_col(x)
+    return concat([t_col, s, x], axis=1)
 
 
 def forward_policy(net: _Net, params, n: int, t_norm: float, s, x, hidden):
     """Portfolio weights from observable state; returns (pi (B, d), hidden')."""
-    out, hidden = net.apply(params, n, _state_input(t_norm, s, x), hidden)
+    out, hidden = net.apply(params, n, state_input(t_norm, s, x), hidden)
     return out, hidden
 
 
@@ -206,12 +210,15 @@ def forward_market(net: _Net, params, n: int, t_norm: float, s, x, hidden):
     Returns (mu (B, d), sigma (B, d, d), hidden'); the price scaling
     (Hadamard with S) happens in the simulation step, not here.
     """
-    out, hidden = net.apply(params, n, _state_input(t_norm, s, x), hidden)
-    d = (raw(s)).shape[1]
-    b = raw(out).shape[0]
-    mu = out[:, :d]
-    sigma = reshape(out[:, d:], (b, d, d))
+    out, hidden = net.apply(params, n, state_input(t_norm, s, x), hidden)
+    mu, sigma = market_coefficients(out, raw(s).shape[1])
     return mu, sigma, hidden
+
+
+def market_coefficients(out, d: int):
+    """(mu (B, d), sigma (B, d, d)) from the market net's output: the drift
+    in the first d columns, the volatility row-major after it."""
+    return split_columns(out, [(d,), (d, d)])
 
 
 # ----------------------------------------------------------------------

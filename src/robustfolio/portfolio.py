@@ -11,9 +11,9 @@ with holdings H_n = X_n pi_n / S_n.  The first step is measured against an
 all-cash start (H_{-1} = 0), so the initial purchase is charged.  Negative
 wealth is allowed; the path is flagged as defaulted at the first X <= 0.
 
-`step_wealth` runs on plain arrays or autodiff Tensors: the traded amount
-uses |.| with subgradient 0 at 0, and the base-cost indicator enters the
-graph as a constant.
+`step_wealth` runs on plain arrays.  Training differentiates through it
+with `autodiff.euler_wealth_step`, which calls it for its forward pass and
+holds the hand-written adjoint.
 """
 
 from __future__ import annotations
@@ -23,10 +23,27 @@ from typing import Any, Protocol
 
 import numpy as np
 
-from .autodiff import absolute, as_col, raw, tsum
 from .market import PathBatch
 
 TRADE_TOL = 1e-12  # float noise must not trigger base costs
+SUM_COLUMNS_MAX = 8  # np.sum adds fewer columns than this one by one
+
+
+def sum_columns(a: np.ndarray) -> np.ndarray:
+    """``np.sum(a, axis=-1)`` with the same bits, made cheap on short axes.
+
+    Below ``SUM_COLUMNS_MAX`` columns numpy adds them left to right onto
+    +0.0; this does the same with one vectorized add per column, which
+    costs far less than a reduction call on a length-2 axis.  Longer axes
+    go to ``np.sum``, which sums them pairwise.
+    """
+    d = a.shape[-1]
+    if d >= SUM_COLUMNS_MAX:
+        return np.sum(a, axis=-1)
+    out = a[..., 0] + 0.0  # +0.0 turns a lone -0.0 into 0.0, as np.sum does
+    for k in range(1, d):
+        out += a[..., k]
+    return out
 
 
 @dataclass(frozen=True)
@@ -56,17 +73,17 @@ def step_wealth(x, pi, h_prev, s, ds, rate: float, dt: float, costs: CostSpec):
     Returns:
         (x_next, holdings, traded, cost) with shapes ((B,), (B,d), (B,d), (B,)).
     """
-    h = as_col(x) * pi / s
-    traded = absolute(h - h_prev)
-    risky = tsum(h * ds, axis=1)
-    bank = (1.0 - tsum(pi, axis=1)) * x * (rate * dt)
+    h = x[:, None] * pi / s
+    traded = np.abs(h - h_prev)
+    risky = sum_columns(h * ds)
+    bank = (1.0 - sum_columns(pi)) * x * (rate * dt)
     if costs.frictionless:
         cost = 0.0
         x_next = x + risky + bank
     else:
-        n_trades = (raw(traded) > TRADE_TOL).astype(np.float64)
+        n_trades = (traded > TRADE_TOL).astype(np.float64)
         per_asset = traded * s * costs.c_prop + n_trades * costs.c_base
-        cost = tsum(per_asset, axis=1) * (1.0 + rate * dt)
+        cost = sum_columns(per_asset) * (1.0 + rate * dt)
         x_next = x + risky + bank - cost
     return x_next, h, traded, cost
 

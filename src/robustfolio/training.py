@@ -27,15 +27,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atomic import atomic_write
-from .autodiff import Tensor, clip_floor, concat, raw, reshape, tsum
+from .autodiff import Tensor, euler_wealth_step, raw, reshape, stack, tsum
 from .evaluation import expected_utility_on
-from .market import (PRICE_FLOOR, ConstantParams, ReferenceMarket, TimeGrid,
-                     make_noisy_pool, simulate_euler, stack_scenarios,
-                     substream)
-from .nets import (NeuralPolicy, ParamSet, adam_step, build_net, forward_market,
-                   forward_policy, load_checkpoint, lr_schedule, market_head_bias,
-                   market_spec, policy_spec, save_checkpoint, spec_to_dict)
-from .portfolio import CostSpec, step_wealth
+from .market import (ConstantParams, ReferenceMarket, TimeGrid, make_noisy_pool,
+                     simulate_euler, stack_scenarios, substream)
+from .nets import (NeuralPolicy, ParamSet, adam_step, build_net, load_checkpoint,
+                   lr_schedule, market_coefficients, market_head_bias, market_spec,
+                   policy_spec, save_checkpoint, spec_to_dict, state_input)
+from .portfolio import CostSpec
 from .utility import (PenaltySpec, PowerUtility, penalty_instant,
                       penalty_instant_vol, penalty_pathwise)
 
@@ -164,59 +163,55 @@ def forward_episode(z_batch: np.ndarray, gen_params, disc_params,
     b, n_steps, d = z_batch.shape
     dt = grid.dt
     times = grid.times
-    dw = z_batch * np.sqrt(dt)[None, :, None]
+    # Brownian increments, time-major: dw[n] is one contiguous (B, d) block
+    dw = np.empty((n_steps, b, d))
+    np.multiply(z_batch.transpose(1, 0, 2), np.sqrt(dt)[:, None, None], out=dw)
     gen_net = build_net(cfg.gen_spec())
     disc_net = build_net(cfg.disc_spec())
 
     s = Tensor(np.broadcast_to(mkt.s0, (b, d)).copy())
-    x = Tensor(np.full(b, float(cfg.x0)))
+    # wealth as a (B, 1) column, so that it enters the net input as it is
+    x = Tensor(np.full((b, 1), float(cfg.x0)))
     h_prev = np.zeros((b, d))
     gen_hidden = disc_hidden = None
     s_rows = [s]
     mu_rows: list = []
     sig_rows: list = []
     for n in range(n_steps):
-        t_norm = times[n] / grid.horizon
-        pi, gen_hidden = forward_policy(gen_net, gen_params, n, t_norm, s, x,
-                                        gen_hidden)
+        inp = state_input(times[n] / grid.horizon, s, x)  # one node for both nets
+        pi, gen_hidden = gen_net.apply(gen_params, n, inp, gen_hidden)
         if cfg.mode == "non_robust":
             mu_n, sig_n = mkt.drift, mkt.vol
         else:
-            mu_raw, sig_raw, disc_hidden = forward_market(
-                disc_net, disc_params, n, t_norm, s, x, disc_hidden)
-            sig_n = sig_raw
+            out, disc_hidden = disc_net.apply(disc_params, n, inp, disc_hidden)
+            mu_raw, sig_n = market_coefficients(out, d)
             mu_n = mkt.drift if cfg.mode == "vol_robust" else mu_raw
-        drift = s * mu_n * dt[n]
-        diffusion = tsum(reshape(s, (b, d, 1)) * sig_n * dw[:, n, None, :], axis=2)
-        ds = drift + diffusion
-        x, h_prev, _, _ = step_wealth(x, pi, h_prev, s, ds, mkt.rate, dt[n],
-                                      cfg.costs)
-        s = clip_floor(s + ds, PRICE_FLOOR)
+        s, x, h_prev = euler_wealth_step(s, x, pi, h_prev, mu_n, sig_n, dw[n],
+                                         dt[n], mkt.rate, cfg.costs)
         s_rows.append(s)
         mu_rows.append(mu_n)
         sig_rows.append(sig_n)
 
-    s_stack = concat([reshape(row, (b, 1, d)) for row in s_rows], axis=1)
+    s_stack = stack(s_rows, axis=1)
     penalty = None
     if cfg.mode != "non_robust" and cfg.penalty is not None:
         spec = cfg.penalty
         if spec.kind == "pathwise":
             penalty = penalty_pathwise(spec, s_stack, grid).total
         elif spec.kind == "vol":
-            vol_stack = concat([reshape(sg, (b, 1)) for sg in sig_rows], axis=1)
+            vol_stack = reshape(stack(sig_rows, axis=1), (b, n_steps))
             penalty = penalty_instant_vol(spec, vol_stack, grid)
         else:
-            sig_stack = concat([reshape(sg, (b, 1, d, d)) if isinstance(sg, Tensor)
-                                else np.broadcast_to(sg, (b, 1, d, d))
-                                for sg in sig_rows], axis=1)
+            sig_stack = stack(sig_rows, axis=1)
             cov = tsum(reshape(sig_stack, (b, n_steps, d, 1, d))
                        * reshape(sig_stack, (b, n_steps, 1, d, d)), axis=4)
             if cfg.mode == "vol_robust":
                 mu_stack = np.broadcast_to(mkt.drift, (1, n_steps, d))
             else:
-                mu_stack = concat([reshape(m, (b, 1, d)) for m in mu_rows], axis=1)
+                mu_stack = stack(mu_rows, axis=1)
             penalty = penalty_instant(spec, cov, mu_stack, grid)
 
+    x = reshape(x, (b,))
     u_vals = cfg.utility.graph(x)
     gen_loss = -u_vals.mean()
     if penalty is not None:

@@ -11,7 +11,8 @@ Two penalty families are supported:
   deviation of the batch-mean relative return from exp(mu_ref * T).
 
 All penalty code runs on plain arrays or on autodiff Tensors, so the same
-formulas serve evaluation and the training loop.
+formulas serve evaluation and the training loop.  On a Tensor of price
+paths the path-wise penalty is one graph node with a hand-written adjoint.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Tensor, log, raw, reshape, tmean, tsum
+from .autodiff import Tensor, _acc, raw, reshape, tmean, tsum
 from .market import TimeGrid
 
 NEG_INF = float("-inf")
@@ -168,20 +169,47 @@ def penalty_pathwise(spec: PenaltySpec, s_paths, grid: TimeGrid) -> PathPenalty:
     The quadratic-covariation term is per path and averaged over the batch;
     the relative-return term is a single batch-level value, so its gradient
     couples paths within the batch by construction.
+
+    Batch means are taken as a sum times 1/B, as ``Tensor.mean`` takes them,
+    so the value is that of the generic-op composition bit for bit.  On a
+    Tensor, ``total`` is one graph node with a hand-written adjoint and
+    ``qcv``/``arr`` are its terms as plain values.
     """
-    b, n1, d = raw(s_paths).shape
+    s = raw(s_paths)
+    b, n1, d = s.shape
     n = n1 - 1
     if b == 0:
         raise ValueError("penalty_pathwise needs a nonempty batch")
-    if np.any(raw(s_paths) <= 0):
+    if np.any(s <= 0):
         raise ValueError("path-wise penalties need strictly positive prices")
-    ln_s = log(s_paths)
+    ln_s = np.log(s)
     inc = ln_s[:, 1:, :] - ln_s[:, :-1, :]
-    qcv = tsum(reshape(inc, (b, n, d, 1)) * reshape(inc, (b, n, 1, d)), axis=1)
+    qcv = np.sum(inc[:, :, :, None] * inc[:, :, None, :], axis=1)
     qdev = qcv - spec.qcv_ref(grid)
-    r1 = tmean(tsum(qdev * qdev, axis=(1, 2)), axis=0) * spec.lam1
+    r1 = np.sum(qdev * qdev, axis=(1, 2)).sum(axis=0) * (1.0 / b) * spec.lam1
+    rel = s[:, n, :] / s[:, 0, :]
+    adev = rel.sum(axis=0) * (1.0 / b) - spec.arr_ref(grid)
+    r2 = np.sum(adev * adev) * spec.lam2
+    if not isinstance(s_paths, Tensor):
+        return PathPenalty(qcv=r1, arr=r2, total=r1 + r2)
+    total = Tensor(r1 + r2, (s_paths,))
 
-    rel = s_paths[:, n, :] / s_paths[:, 0, :]
-    adev = tmean(rel, axis=0) - spec.arr_ref(grid)
-    r2 = tsum(adev * adev) * spec.lam2
-    return PathPenalty(qcv=r1, arr=r2, total=r1 + r2)
+    def bk(g, s_paths=s_paths):
+        g = float(g)
+        # qcv term: d/dqcv of lam1 mean_b |qdev|_F^2, then through the
+        # products of log increments and the logs
+        g_q = qdev * (2.0 * g * spec.lam1 / b)
+        g_q += g_q.transpose(0, 2, 1).copy()  # now symmetric
+        g_inc = inc @ g_q
+        g_s = np.zeros_like(s)
+        g_s[:, 1:, :] += g_inc
+        g_s[:, :-1, :] -= g_inc
+        g_s /= s
+        # arr term: lam2 |mean_b S_N / S_0 - arr_ref|^2
+        g_rel = adev * (2.0 * g * spec.lam2 / b)
+        g_s[:, n, :] += g_rel / s[:, 0, :]
+        g_s[:, 0, :] -= g_rel * rel / s[:, 0, :]
+        _acc(s_paths, g_s, True)
+
+    total._bk = bk
+    return PathPenalty(qcv=r1, arr=r2, total=total)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from composition import step_wealth_composition
 from robustfolio.autodiff import Tensor, raw
 from robustfolio.closed_form import merton_weight
 from robustfolio.market import (NoiseIncrements, ReferenceMarket, TimeGrid,
@@ -89,8 +90,9 @@ class TestStepWealth:
         ds = rng.normal(0, 0.02, size=(4, 2))
         costs = CostSpec(c_prop=0.01, c_base=0.001)
         out_np = step_wealth(x, pi, h_prev, s, ds, RATE, DT, costs)
-        out_t = step_wealth(Tensor(x), Tensor(pi), Tensor(h_prev), Tensor(s),
-                            Tensor(ds), RATE, DT, costs)
+        # the generic-op reference of the training step, on Tensors
+        out_t = step_wealth_composition(Tensor(x), Tensor(pi), Tensor(h_prev),
+                                        Tensor(s), Tensor(ds), RATE, DT, costs)
         for a, b in zip(out_np, out_t):
             assert np.allclose(a, raw(b), rtol=1e-14)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from composition import step_wealth_composition
 from robustfolio.autodiff import Tensor, raw
 from robustfolio.closed_form import (NoTradeRegion, no_trade_step,
                                      solve_fully_robust,
@@ -79,8 +80,8 @@ def test_step_wealth_tensor_matches_numpy(state):
     x, pi, h_prev, s, ds = state
     costs = CostSpec(c_prop=0.004, c_base=0.002)
     out_np = step_wealth(x, pi, h_prev, s, ds, 0.015, 1 / 65, costs)
-    out_t = step_wealth(Tensor(x), Tensor(pi), Tensor(h_prev), Tensor(s),
-                        Tensor(ds), 0.015, 1 / 65, costs)
+    out_t = step_wealth_composition(Tensor(x), Tensor(pi), Tensor(h_prev),
+                                    Tensor(s), Tensor(ds), 0.015, 1 / 65, costs)
     for a, b in zip(out_np, out_t):
         assert np.allclose(a, raw(b), rtol=1e-13)
 
