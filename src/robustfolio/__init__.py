@@ -7,11 +7,10 @@ from .evaluation import (EvalReport, expected_utility_on, histogram_report,
                          pooled_min_utility, relative_error, simulate_scenario,
                          value_at_risk)
 from .garch import GarchModel, fit_garch, make_noisy_garch_pool, simulate_garch
-from .market import (NoiseIncrements, NoisyMarketScenario, PathBatch,
-                     ReferenceMarket, StudentTMarket, TimeGrid, make_noisy_pool,
-                     simulate_euler, simulate_student_t)
-from .nets import (NetSpec, NeuralPolicy, ParamSet, adam_step, build_net,
-                   forward_market, forward_policy, lr_schedule)
+from .market import (NoiseIncrements, PathBatch, PathParams, ReferenceMarket,
+                     StudentTMarket, TimeGrid, make_noisy_pool, simulate_euler,
+                     simulate_student_t)
+from .nets import NetSpec, NeuralPolicy, ParamSet, adam_step, build_net, lr_schedule
 from .portfolio import (CashPolicy, ConstantWeightPolicy, CostSpec, WealthLedger,
                         roll_out, step_wealth)
 from .presets import PRESETS, ExperimentConfig, resolve

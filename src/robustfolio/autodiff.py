@@ -548,32 +548,11 @@ def euler_wealth_step(s, x, pi, h_prev, mu, sigma, dw_n, dt_n, rate, costs):
 
 
 # ----------------------------------------------------------------------
-# type-dispatching helpers so forward code runs on Tensors or plain arrays
+# forward code runs on Tensors or plain arrays: the two share ``reshape``,
+# ``sum`` and ``mean``, and ``raw`` reads the values of either
 # ----------------------------------------------------------------------
 def raw(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-
-
-def reshape(x, shape):
-    return x.reshape(shape) if isinstance(x, Tensor) else np.reshape(x, shape)
-
-
-def tsum(x, axis=None, keepdims=False):
-    if isinstance(x, Tensor):
-        return x.sum(axis=axis, keepdims=keepdims)
-    return np.sum(x, axis=axis, keepdims=keepdims)
-
-
-def tmean(x, axis=None, keepdims=False):
-    if isinstance(x, Tensor):
-        return x.mean(axis=axis, keepdims=keepdims)
-    return np.mean(x, axis=axis, keepdims=keepdims)
-
-
-def as_col(x):
-    """View a length-B vector as a (B, 1) column."""
-    n = raw(x).shape[0]
-    return reshape(x, (n, 1))
 
 
 def numeric_grad(f, arrays: dict[str, np.ndarray], h: float = 1e-5) -> dict[str, np.ndarray]:

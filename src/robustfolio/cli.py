@@ -242,25 +242,30 @@ def cmd_compare_ref(args) -> int:
     return 0
 
 
-def _grid_cell(cfg: ExperimentConfig, out_root: str | None, pool, lam1: float,
-               lam2: float):
-    """Train and score one grid cell; module-level so workers can pickle it."""
-    sub = ExperimentConfig(preset=cfg.preset,
-                           overrides=cfg.overrides | {"lam1": lam1, "lam2": lam2},
-                           seed=cfg.seed, scale=cfg.scale)
-    spec = resolve(sub)
-    cell_dir = _run_dir(argparse.Namespace(out=out_root), spec)
-    _write_config(sub, spec, cell_dir)
-    inc = _ensure_data(spec, cell_dir)
-    z_train, z_val = _split(spec, inc)
-    state = train(spec.train_config, z_train, z_val, out_dir=cell_dir,
-                  resume=True)
-    policy = state.policy(spec.train_config)
-    res = pooled_min_utility(policy, pool, spec.grid, spec.market.s0,
-                             spec.x0, spec.market.rate, spec.costs,
-                             spec.utility, spec.eval_b_test,
-                             seed=spec.seed + 13)
-    return res.m_u, spec.config_hash
+def _safe_grid_cell(cfg: ExperimentConfig, out_root: str | None, pool,
+                    lam1: float, lam2: float) -> tuple:
+    """Train and score one grid cell; returns its surface row.  A failing
+    cell is recorded, not raised, so the others complete.  Module-level so
+    workers can pickle it."""
+    try:
+        sub = ExperimentConfig(preset=cfg.preset,
+                               overrides=cfg.overrides | {"lam1": lam1, "lam2": lam2},
+                               seed=cfg.seed, scale=cfg.scale)
+        spec = resolve(sub)
+        cell_dir = _run_dir(argparse.Namespace(out=out_root), spec)
+        _write_config(sub, spec, cell_dir)
+        inc = _ensure_data(spec, cell_dir)
+        z_train, z_val = _split(spec, inc)
+        state = train(spec.train_config, z_train, z_val, out_dir=cell_dir,
+                      resume=True)
+        policy = state.policy(spec.train_config)
+        res = pooled_min_utility(policy, pool, spec.grid, spec.market.s0,
+                                 spec.x0, spec.market.rate, spec.costs,
+                                 spec.utility, spec.eval_b_test,
+                                 seed=spec.seed + 13)
+        return lam1, lam2, "ok", res.m_u, spec.config_hash
+    except Exception as exc:
+        return lam1, lam2, "failed", float("nan"), str(exc)
 
 
 def cmd_grid_search(args) -> int:
@@ -271,29 +276,15 @@ def cmd_grid_search(args) -> int:
     root_dir = _run_dir(args, base_spec)
     _write_config(cfg, base_spec, root_dir)
     pool = _eval_pool(base_spec)
-    cells = [(l1, l2) for l1 in lam1s for l2 in lam2s]
-
-    rows = []
+    cells = [(cfg, args.out, pool, l1, l2) for l1 in lam1s for l2 in lam2s]
+    columns = list(zip(*cells))
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool_exec:
-            futures = {pool_exec.submit(_grid_cell, cfg, args.out, pool, l1, l2):
-                       (l1, l2) for l1, l2 in cells}
-            results = {}
-            for fut, cell in futures.items():
-                try:
-                    results[cell] = ("ok", *fut.result())
-                except Exception as exc:  # cell failures stay isolated
-                    results[cell] = ("failed", float("nan"), str(exc))
-        rows = [(l1, l2, *results[(l1, l2)]) for l1, l2 in cells]
+            rows = list(pool_exec.map(_safe_grid_cell, *columns))
     else:
-        for l1, l2 in cells:
-            try:
-                m_u, h = _grid_cell(cfg, args.out, pool, l1, l2)
-                rows.append((l1, l2, "ok", m_u, h))
-            except Exception as exc:
-                rows.append((l1, l2, "failed", float("nan"), str(exc)))
+        rows = list(map(_safe_grid_cell, *columns))
 
     ok_rows = [r for r in rows if r[2] == "ok"]
     best = max(ok_rows, key=lambda r: r[3]) if ok_rows else None

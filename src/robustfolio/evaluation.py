@@ -21,9 +21,9 @@ import numpy as np
 from .atomic import atomic_write
 from .closed_form import SaddleSolution
 from .garch import GarchModel, simulate_garch
-from .market import (ConstantParams, NoiseIncrements, NoisyMarketScenario,
-                     PathBatch, ReferenceMarket, StudentTMarket, TimeGrid,
-                     simulate_euler, simulate_student_t, substream)
+from .market import (ConstantParams, NoiseIncrements, PathBatch, PathParams,
+                     ReferenceMarket, StudentTMarket, TimeGrid, simulate_euler,
+                     simulate_student_t, substream)
 from .portfolio import ConstantWeightPolicy, CostSpec, Policy, roll_out
 from .utility import PowerUtility
 
@@ -31,8 +31,8 @@ from .utility import PowerUtility
 def simulate_scenario(scenario, grid: TimeGrid, s0, n_paths: int,
                       seed: int) -> PathBatch:
     """Simulate any supported market scenario type on the grid."""
-    if isinstance(scenario, (ReferenceMarket, NoisyMarketScenario, ConstantParams)):
-        params = scenario if isinstance(scenario, ConstantParams) else scenario.params()
+    if isinstance(scenario, (ReferenceMarket, PathParams, ConstantParams)):
+        params = scenario.params() if isinstance(scenario, ReferenceMarket) else scenario
         d = params.at(0)[0].shape[-1]
         inc = NoiseIncrements.generate(seed, n_paths, grid.n_steps, d)
         return simulate_euler(grid, params, s0, inc)

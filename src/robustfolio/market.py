@@ -227,6 +227,11 @@ class PathParams:
     def at(self, n: int):
         return self.mu_path[..., n, :], self.sigma_path[..., n, :, :]
 
+    @property
+    def cov_path(self) -> np.ndarray:
+        """Per-step covariance sigma @ sigma.T, shaped like ``sigma_path``."""
+        return np.einsum("...ij,...kj->...ik", self.sigma_path, self.sigma_path)
+
 
 @dataclass
 class PathBatch:
@@ -296,29 +301,15 @@ def simulate_euler(grid: TimeGrid, params, s0, increments: NoiseIncrements) -> P
 NOISE_KINDS = ("constant", "non_constant", "cumulative")
 
 
-@dataclass(frozen=True)
-class NoisyMarketScenario:
-    """One perturbed market from a pool around the reference.
-
-    Gaussian noise is applied entrywise to the vol matrix and drift vector;
-    the implied covariance sigma @ sigma.T is then PSD by construction.
-    """
-
-    mu_path: np.ndarray  # (N, d)
-    sigma_path: np.ndarray  # (N, d, d)
-
-    def params(self) -> PathParams:
-        return PathParams(mu_path=self.mu_path, sigma_path=self.sigma_path)
-
-    @property
-    def cov_path(self) -> np.ndarray:
-        return np.einsum("nij,nkj->nik", self.sigma_path, self.sigma_path)
-
-
 def make_noisy_pool(ref: ReferenceMarket, kind: str, vol_scale: float,
                     drift_scale: float, n_pool: int, grid: TimeGrid,
-                    seed: int) -> list[NoisyMarketScenario]:
+                    seed: int) -> list[PathParams]:
     """Sample an n_pool-sized scenario pool around the reference market.
+
+    Gaussian noise is applied entrywise to the vol matrix and the drift
+    vector, so the implied covariance sigma @ sigma.T is PSD by
+    construction.  Each scenario is a PathParams of shapes (N, d) and
+    (N, d, d).
 
     ``kind`` is one of constant (one draw held fixed), non_constant (fresh
     draw each step) or cumulative (a Brownian parameter path started at the
@@ -353,11 +344,11 @@ def make_noisy_pool(ref: ReferenceMarket, kind: str, vol_scale: float,
                 wm = np.cumsum(rng.standard_normal((n - 1, d)) * step, axis=0)
                 sig[1:] += vol_scale * ws
                 mu[1:] += drift_scale * wm
-        out.append(NoisyMarketScenario(mu_path=mu, sigma_path=sig))
+        out.append(PathParams(mu_path=mu, sigma_path=sig))
     return out
 
 
-def stack_scenarios(scenarios: list[NoisyMarketScenario]) -> PathParams:
+def stack_scenarios(scenarios: list[PathParams]) -> PathParams:
     """Stack a pool into per-path parameters (one path per scenario)."""
     mu = np.stack([sc.mu_path for sc in scenarios])
     sig = np.stack([sc.sigma_path for sc in scenarios])

@@ -2,25 +2,27 @@
 
 Three architectures: a feed-forward net shared across time steps, a
 single-layer recurrent net with a carried hidden state, and a time-grid
-net with independent parameters per step.  Hidden activations are tanh,
-outputs are linear.  The forward pass is written against the autodiff
-dispatch helpers, so the same code runs on Tensors (training) and on
-plain arrays (evaluation, and the frozen network of a training step).
-Feed-forward and time-grid layers are single ``dense`` graph nodes.
+net with independent parameters per step.  ``FeedForward`` serves both
+the shared and the time-grid case; each of its layers is one ``dense``
+graph node.  Hidden activations are tanh, outputs are linear.  The same
+forward code runs on Tensors (training) and on plain arrays (evaluation,
+and the frozen network of a training step).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .atomic import atomic_write
-from .autodiff import Tensor, as_col, concat, dense, raw, split_columns
+from .autodiff import Tensor, concat, dense, raw, split_columns
 
 ARCHS = ("ffnn", "rnn", "time_grid")
 CHECKPOINT_VERSION = 1
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -65,12 +67,6 @@ class ParamSet:
     def n_params(self) -> int:
         return sum(a.size for a in self.arrays.values())
 
-    def copy(self) -> "ParamSet":
-        return ParamSet(arrays={k: v.copy() for k, v in self.arrays.items()},
-                        m={k: v.copy() for k, v in self.m.items()},
-                        v={k: v.copy() for k, v in self.v.items()},
-                        step=self.step)
-
 
 def _uniform_init(rng, fan_in: int, shape) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)
@@ -82,37 +78,43 @@ def _layer_sizes(spec: NetSpec) -> list[tuple[int, int]]:
     return list(zip(dims[:-1], dims[1:]))
 
 
-class _Net:
-    def __init__(self, spec: NetSpec):
-        self.spec = spec
+@dataclass(frozen=True)
+class FeedForward:
+    """Feed-forward layers: one parameter set shared by every step (ffnn),
+    or an independent set per step, named with the prefix ``s{n}.``
+    (time_grid)."""
 
-    def init(self, rng, head_bias=None) -> ParamSet:
-        raise NotImplementedError
+    spec: NetSpec
 
-    def apply(self, params, n, inp, hidden):
-        raise NotImplementedError
+    def _prefix(self, n: int) -> str:
+        return f"s{n}." if self.spec.arch == "time_grid" else ""
 
-
-class FeedForward(_Net):
     def init(self, rng, head_bias=None) -> ParamSet:
         arrays = {}
         sizes = _layer_sizes(self.spec)
         last = len(sizes) - 1
-        for i, (fin, fout) in enumerate(sizes):
-            name = "out" if i == last else f"h{i}"
-            arrays[f"{name}.W"] = _uniform_init(rng, fin, (fin, fout))
-            arrays[f"{name}.b"] = _uniform_init(rng, fin, (fout,))
-        _apply_head_init(arrays, "out", head_bias)
+        for n in range(self.spec.n_steps if self.spec.arch == "time_grid" else 1):
+            pre = self._prefix(n)
+            for i, (fin, fout) in enumerate(sizes):
+                name = f"{pre}out" if i == last else f"{pre}h{i}"
+                arrays[f"{name}.W"] = _uniform_init(rng, fin, (fin, fout))
+                arrays[f"{name}.b"] = _uniform_init(rng, fin, (fout,))
+            _apply_head_init(arrays, f"{pre}out", head_bias)
         return ParamSet(arrays=arrays)
 
     def apply(self, params, n, inp, hidden):
+        pre = self._prefix(n)
         h = inp
         for i in range(self.spec.depth):
-            h = dense(h, params[f"h{i}.W"], params[f"h{i}.b"])
-        return dense(h, params["out.W"], params["out.b"], act=False), hidden
+            h = dense(h, params[f"{pre}h{i}.W"], params[f"{pre}h{i}.b"])
+        return dense(h, params[f"{pre}out.W"], params[f"{pre}out.b"],
+                     act=False), hidden
 
 
-class Recurrent(_Net):
+@dataclass(frozen=True)
+class Recurrent:
+    spec: NetSpec
+
     def init(self, rng, head_bias=None) -> ParamSet:
         spec = self.spec
         arrays = {
@@ -134,37 +136,14 @@ class Recurrent(_Net):
         return dense(h, params["out.W"], params["out.b"], act=False), h
 
 
-class TimeGridNet(_Net):
-    "Independent feed-forward parameters for every time step."
-
-    def init(self, rng, head_bias=None) -> ParamSet:
-        arrays = {}
-        sizes = _layer_sizes(self.spec)
-        last = len(sizes) - 1
-        for n in range(self.spec.n_steps):
-            for i, (fin, fout) in enumerate(sizes):
-                name = "out" if i == last else f"h{i}"
-                arrays[f"s{n}.{name}.W"] = _uniform_init(rng, fin, (fin, fout))
-                arrays[f"s{n}.{name}.b"] = _uniform_init(rng, fin, (fout,))
-            _apply_head_init(arrays, f"s{n}.out", head_bias)
-        return ParamSet(arrays=arrays)
-
-    def apply(self, params, n, inp, hidden):
-        h = inp
-        for i in range(self.spec.depth):
-            h = dense(h, params[f"s{n}.h{i}.W"], params[f"s{n}.h{i}.b"])
-        return dense(h, params[f"s{n}.out.W"], params[f"s{n}.out.b"],
-                     act=False), hidden
-
-
 def _apply_head_init(arrays, prefix, head_bias):
     if head_bias is not None:
         arrays[f"{prefix}.W"] = np.zeros_like(arrays[f"{prefix}.W"])
         arrays[f"{prefix}.b"] = np.asarray(head_bias, dtype=np.float64).copy()
 
 
-def build_net(spec: NetSpec) -> _Net:
-    return {"ffnn": FeedForward, "rnn": Recurrent, "time_grid": TimeGridNet}[spec.arch](spec)
+def build_net(spec: NetSpec) -> FeedForward | Recurrent:
+    return Recurrent(spec) if spec.arch == "rnn" else FeedForward(spec)
 
 
 def policy_spec(d: int, arch: str = "ffnn", width: int = 64, depth: int = 1,
@@ -194,25 +173,8 @@ def state_input(t_norm: float, s, x):
     b = raw(s).shape[0]
     t_col = np.full((b, 1), float(t_norm))
     if raw(x).ndim == 1:
-        x = as_col(x)
+        x = x.reshape((b, 1))
     return concat([t_col, s, x], axis=1)
-
-
-def forward_policy(net: _Net, params, n: int, t_norm: float, s, x, hidden):
-    """Portfolio weights from observable state; returns (pi (B, d), hidden')."""
-    out, hidden = net.apply(params, n, state_input(t_norm, s, x), hidden)
-    return out, hidden
-
-
-def forward_market(net: _Net, params, n: int, t_norm: float, s, x, hidden):
-    """Relative market coefficients from observable state.
-
-    Returns (mu (B, d), sigma (B, d, d), hidden'); the price scaling
-    (Hadamard with S) happens in the simulation step, not here.
-    """
-    out, hidden = net.apply(params, n, state_input(t_norm, s, x), hidden)
-    mu, sigma = market_coefficients(out, raw(s).shape[1])
-    return mu, sigma, hidden
 
 
 def market_coefficients(out, d: int):
@@ -224,11 +186,9 @@ def market_coefficients(out, d: int):
 # ----------------------------------------------------------------------
 # optimization
 # ----------------------------------------------------------------------
-def adam_step(params: ParamSet, grads: dict[str, np.ndarray], lr: float,
-              betas: tuple[float, float] = (0.9, 0.999),
-              eps: float = 1e-8) -> ParamSet:
+def adam_step(params: ParamSet, grads: dict[str, np.ndarray], lr: float) -> ParamSet:
     """Standard Adam with bias correction; updates in place."""
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     params.step += 1
     t = params.step
     c1 = 1.0 - b1 ** t
@@ -243,7 +203,7 @@ def adam_step(params: ParamSet, grads: dict[str, np.ndarray], lr: float,
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        arr -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        arr -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return params
 
 
@@ -314,10 +274,5 @@ class NeuralPolicy:
         return None  # rnn hidden state starts at zeros inside apply()
 
     def weights(self, n, t, s, x, state):
-        pi, state = forward_policy(self.net, self.arrays, n, t / self.horizon,
-                                   s, x, state)
-        return pi, state
-
-
-def spec_to_dict(spec: NetSpec) -> dict:
-    return asdict(spec)
+        return self.net.apply(self.arrays, n, state_input(t / self.horizon, s, x),
+                              state)

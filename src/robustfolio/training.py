@@ -22,18 +22,18 @@ far is snapshotted; training state is checkpointed for resumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .atomic import atomic_write
-from .autodiff import Tensor, euler_wealth_step, raw, reshape, stack, tsum
+from .autodiff import Tensor, euler_wealth_step, raw, stack
 from .evaluation import expected_utility_on
 from .market import (ConstantParams, ReferenceMarket, TimeGrid, make_noisy_pool,
                      simulate_euler, stack_scenarios, substream)
 from .nets import (NeuralPolicy, ParamSet, adam_step, build_net, load_checkpoint,
                    lr_schedule, market_coefficients, market_head_bias, market_spec,
-                   policy_spec, save_checkpoint, spec_to_dict, state_input)
+                   policy_spec, save_checkpoint, state_input)
 from .portfolio import CostSpec
 from .utility import (PenaltySpec, PowerUtility, penalty_instant,
                       penalty_instant_vol, penalty_pathwise)
@@ -199,19 +199,19 @@ def forward_episode(z_batch: np.ndarray, gen_params, disc_params,
         if spec.kind == "pathwise":
             penalty = penalty_pathwise(spec, s_stack, grid).total
         elif spec.kind == "vol":
-            vol_stack = reshape(stack(sig_rows, axis=1), (b, n_steps))
+            vol_stack = stack(sig_rows, axis=1).reshape((b, n_steps))
             penalty = penalty_instant_vol(spec, vol_stack, grid)
         else:
             sig_stack = stack(sig_rows, axis=1)
-            cov = tsum(reshape(sig_stack, (b, n_steps, d, 1, d))
-                       * reshape(sig_stack, (b, n_steps, 1, d, d)), axis=4)
+            cov = (sig_stack.reshape((b, n_steps, d, 1, d))
+                   * sig_stack.reshape((b, n_steps, 1, d, d))).sum(axis=4)
             if cfg.mode == "vol_robust":
                 mu_stack = np.broadcast_to(mkt.drift, (1, n_steps, d))
             else:
                 mu_stack = stack(mu_rows, axis=1)
             penalty = penalty_instant(spec, cov, mu_stack, grid)
 
-    x = reshape(x, (b,))
+    x = x.reshape((b,))
     u_vals = cfg.utility.graph(x)
     gen_loss = -u_vals.mean()
     if penalty is not None:
@@ -308,6 +308,9 @@ def train(cfg: TrainConfig, z_train, z_val=None, out_dir=None,
         latest = os.path.join(out_dir, "checkpoint_latest.npz")
         if resume and os.path.exists(latest):
             gen, disc, meta = load_checkpoint(latest)
+            if not meta:  # a crash before the first sidecar was in place
+                raise ValueError(f"cannot resume: {latest}.json is missing, so the "
+                                 "checkpoint names no epoch; --force restarts the run")
             _check_resumable(meta, cfg)
             start_epoch = meta["epoch"] + 1
             _check_adam_steps(latest, meta["epoch"], start_epoch * batches_per_epoch,
@@ -370,8 +373,8 @@ def train(cfg: TrainConfig, z_train, z_val=None, out_dir=None,
 
 def _check_resumable(meta: dict, cfg: TrainConfig) -> None:
     """Refuse a checkpoint written for other networks or another seed."""
-    expected = {"gen_spec": spec_to_dict(cfg.gen_spec()),
-                "disc_spec": spec_to_dict(cfg.disc_spec()), "seed": cfg.seed}
+    expected = {"gen_spec": asdict(cfg.gen_spec()),
+                "disc_spec": asdict(cfg.disc_spec()), "seed": cfg.seed}
     for key, want in expected.items():
         if meta.get(key) != want:
             raise ValueError(f"cannot resume: checkpoint {key} {meta.get(key)!r} "
@@ -401,8 +404,8 @@ def _write_artifacts(out_dir, cfg, gen, disc, best, history, shuffle_rng):
     meta = {
         "epoch": history[-1].epoch,
         "seed": cfg.seed,
-        "gen_spec": spec_to_dict(cfg.gen_spec()),
-        "disc_spec": spec_to_dict(cfg.disc_spec()),
+        "gen_spec": asdict(cfg.gen_spec()),
+        "disc_spec": asdict(cfg.disc_spec()),
         "gen_params": gen.n_params,
         "disc_params": disc.n_params,
         "rng_shuffle": shuffle_rng.bit_generator.state,

@@ -22,10 +22,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Tensor, _acc, raw, reshape, tmean, tsum
+from .autodiff import Tensor, _acc, raw
 from .market import TimeGrid
 
 NEG_INF = float("-inf")
+WEALTH_FLOOR = 1e-6  # training floors terminal wealth here (finite gradients)
 
 
 @dataclass(frozen=True)
@@ -60,9 +61,10 @@ class PowerUtility:
                 out[ok] = np.power(x[ok], q) / q
         return out
 
-    def graph(self, x: Tensor, floor: float = 1e-6) -> Tensor:
-        """Autodiff version; wealth is floored so gradients stay finite."""
-        xf = x.clip_floor(floor)
+    def graph(self, x: Tensor) -> Tensor:
+        """Autodiff version; wealth is floored at WEALTH_FLOOR so gradients
+        stay finite."""
+        xf = x.clip_floor(WEALTH_FLOOR)
         if self.p == 1.0:
             return xf.log()
         q = 1.0 - self.p
@@ -123,7 +125,7 @@ class PathPenalty(NamedTuple):
 def _ensure_batched(x, unbatched_ndim: int):
     """Insert a batch axis in front of (N, ...) shaped per-step data."""
     if raw(x).ndim == unbatched_ndim:
-        return reshape(x, (1,) + raw(x).shape)
+        return x.reshape((1,) + raw(x).shape)
     return x
 
 
@@ -145,13 +147,13 @@ def penalty_instant(spec: PenaltySpec, cov_steps, mu_steps, grid: TimeGrid):
         dev = cov_steps - spec.cov_ref
     else:
         inv = np.linalg.inv(spec.cov_ref)
-        prod = tsum(reshape(cov_steps, (b, n, d, d, 1)) * inv[None, None, None, :, :],
-                    axis=3)
+        prod = (cov_steps.reshape((b, n, d, d, 1))
+                * inv[None, None, None, :, :]).sum(axis=3)
         dev = prod - np.eye(d)
-    vol_term = tsum(tsum(dev * dev, axis=(2, 3)) * dt, axis=1)
+    vol_term = ((dev * dev).sum(axis=(2, 3)) * dt).sum(axis=1)
     mu_dev = mu_steps - spec.mu_ref
-    mu_term = tsum(tsum(mu_dev * mu_dev, axis=2) * dt, axis=1)
-    return tmean(vol_term * spec.lam1 + mu_term * spec.lam2, axis=0)
+    mu_term = ((mu_dev * mu_dev).sum(axis=2) * dt).sum(axis=1)
+    return (vol_term * spec.lam1 + mu_term * spec.lam2).mean(axis=0)
 
 
 def penalty_instant_vol(spec: PenaltySpec, vol_steps, grid: TimeGrid):
@@ -160,7 +162,7 @@ def penalty_instant_vol(spec: PenaltySpec, vol_steps, grid: TimeGrid):
         raise ValueError("penalty_instant_vol needs kind='vol'")
     vol_steps = _ensure_batched(vol_steps, 1)
     dev = vol_steps - spec.vol_ref
-    return tmean(tsum(dev * dev * grid.dt, axis=1), axis=0) * spec.lam1
+    return (dev * dev * grid.dt).sum(axis=1).mean(axis=0) * spec.lam1
 
 
 def penalty_pathwise(spec: PenaltySpec, s_paths, grid: TimeGrid) -> PathPenalty:

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from robustfolio.autodiff import (Tensor, as_col, concat, dense, numeric_grad,
-                                  raw, tmean, tsum)
+from robustfolio.autodiff import Tensor, concat, dense, numeric_grad, raw
 
 
 def _check_grads(f, arrays, built, rel_tol=1e-6):
@@ -141,7 +140,7 @@ def test_reductions_with_axes():
     def built(arrs):
         a = Tensor(arrs["a"])
         loss = (a.sum(axis=(1, 2)) ** 2).mean() + a.mean(axis=0).sum() \
-            + tsum(a * a, axis=2, keepdims=True).mean()
+            + (a * a).sum(axis=2, keepdims=True).mean()
         return {"loss": loss, "a": a}
 
     _check_grads(built, arrays, built)
@@ -165,10 +164,18 @@ def test_numpy_does_not_capture_tensor_ops():
 
 
 def test_dispatch_helpers_on_arrays():
-    x = np.array([1.0, 2.0, 3.0])
-    assert tmean(x) == 2.0
-    assert tsum(x) == 6.0
-    assert as_col(x).shape == (3, 1)
+    # forward code calls reshape, sum and mean as methods, which arrays and
+    # Tensors share: on arrays they give np.reshape/np.sum/np.mean's bits
+    x = np.random.default_rng(3).normal(size=(4, 3, 2))
+    t = Tensor(x)
+    assert np.array_equal(x.reshape((4, 6)), np.reshape(x, (4, 6)))
+    assert np.array_equal(raw(t.reshape((4, 6))), x.reshape((4, 6)))
+    for axis in (None, 0, 2, (1, 2)):
+        assert x.sum(axis=axis).tobytes() == np.sum(x, axis=axis).tobytes()
+        assert x.mean(axis=axis).tobytes() == np.mean(x, axis=axis).tobytes()
+        assert raw(t.sum(axis=axis)).tobytes() == x.sum(axis=axis).tobytes()
+        assert np.allclose(raw(t.mean(axis=axis)), x.mean(axis=axis),
+                           rtol=1e-15, atol=0.0)
 
 
 def _unfused(x, W, b, act):

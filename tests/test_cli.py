@@ -386,23 +386,31 @@ class TestGridSearch:
         surface2 = (tmp_path / "g" / root / "surface.csv").read_text().splitlines()
         assert surface2 == surface
 
-    def test_failed_cells_stay_isolated(self, tmp_path, capsys):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_cells_stay_isolated(self, tmp_path, capsys, jobs):
         # an invalid penalty scale fails its cell; the other cell completes
-        out = str(tmp_path / "f")
-        args = ["grid-search", "--preset", "as-ad", "--scale", "0.01",
-                "--override", "epochs=1", "--override", "batch_size=250",
-                "--override", "width=8", "--override", "b_val=100",
-                "--override", "eval_b_test=100", "--override", "eval_n_pool=2",
-                "--lam1=-1.0,1.0", "--lam2", "1.0", "--out", out]
-        assert main(args) == 0
-        (root,) = [d for d in _run_dirs(out)
-                   if os.path.exists(os.path.join(out, d, "surface.csv"))]
-        rows = [line.split(",") for line in
-                (tmp_path / "f" / root / "surface.csv").read_text().splitlines()
+
+        def surface(name, jobs):
+            out = str(tmp_path / name)
+            args = ["grid-search", "--preset", "as-ad", "--scale", "0.01",
+                    "--override", "epochs=1", "--override", "batch_size=250",
+                    "--override", "width=8", "--override", "b_val=100",
+                    "--override", "eval_b_test=100", "--override", "eval_n_pool=2",
+                    "--lam1=-1.0,1.0", "--lam2", "1.0", "--out", out,
+                    "--jobs", str(jobs)]
+            assert main(args) == 0
+            (root,) = [d for d in _run_dirs(out)
+                       if os.path.exists(os.path.join(out, d, "surface.csv"))]
+            return (tmp_path / name / root / "surface.csv").read_text()
+
+        text = surface("f", jobs)
+        rows = [line.split(",") for line in text.splitlines()
                 if not line.startswith(("lam1", "#"))]
         status = {float(r[0]): r[2] for r in rows}
         assert status[-1.0] == "failed"
         assert status[1.0] == "ok"
+        if jobs > 1:  # the worker processes write the serial loop's table
+            assert text == surface("serial", 1)
 
 
 @pytest.mark.slow

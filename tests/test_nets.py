@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from robustfolio.autodiff import Tensor, raw
 from robustfolio.nets import (NetSpec, ParamSet, adam_step, build_net,
-                              forward_market, forward_policy, load_checkpoint,
-                              lr_schedule, market_head_bias, market_spec,
-                              policy_spec, save_checkpoint, spec_to_dict)
+                              load_checkpoint, lr_schedule, market_coefficients,
+                              market_head_bias, market_spec, policy_spec,
+                              save_checkpoint, state_input)
 
 
 def _init(spec, seed=0, **kw):
@@ -29,7 +31,7 @@ class TestSpecs:
 
     def test_spec_dict_round_trip(self):
         spec = NetSpec(in_dim=4, out_dim=2, arch="time_grid", width=8, n_steps=5)
-        assert NetSpec(**spec_to_dict(spec)) == spec
+        assert NetSpec(**dataclasses.asdict(spec)) == spec
 
 
 class TestForward:
@@ -38,7 +40,7 @@ class TestForward:
         params = _init(spec, head_bias=np.zeros(2))
         net = build_net(spec)
         s = np.random.default_rng(1).uniform(0.5, 2.0, size=(6, 2))
-        pi, _ = forward_policy(net, params.arrays, 0, 0.3, s, np.ones(6), None)
+        pi, _ = net.apply(params.arrays, 0, state_input(0.3, s, np.ones(6)), None)
         assert np.array_equal(pi, np.zeros((6, 2)))
 
     def test_ffnn_is_markov(self):
@@ -47,9 +49,9 @@ class TestForward:
         net = build_net(spec)
         s = np.array([[1.1]])
         x = np.array([0.9])
-        out1, h1 = forward_policy(net, params.arrays, 0, 0.5, s, x, None)
+        out1, h1 = net.apply(params.arrays, 0, state_input(0.5, s, x), None)
         # feed a fake "history" through the hidden slot; ffnn must ignore it
-        out2, _ = forward_policy(net, params.arrays, 7, 0.5, s, x, h1)
+        out2, _ = net.apply(params.arrays, 7, state_input(0.5, s, x), h1)
         assert np.array_equal(out1, out2)
 
     def test_rnn_accumulates_history(self):
@@ -69,8 +71,8 @@ class TestForward:
         for hist in (s_hist_a, s_hist_b):
             hidden = None
             for n, sv in enumerate(hist):
-                out, hidden = forward_policy(net, arrays, n, 0.0,
-                                             np.array([[sv]]), np.ones(1), hidden)
+                inp = state_input(0.0, np.array([[sv]]), np.ones(1))
+                out, hidden = net.apply(arrays, n, inp, hidden)
             outs.append(out[0, 0])
         assert outs[0] != outs[1]
 
@@ -82,8 +84,9 @@ class TestForward:
         net = build_net(spec)
         rng = np.random.default_rng(4)
         s = rng.uniform(0.5, 2.0, size=(5, 2))
-        mu_out, sig_out, _ = forward_market(net, params.arrays, 0, 0.7, s,
-                                            rng.uniform(0.5, 2, 5), None)
+        out, _ = net.apply(params.arrays, 0,
+                           state_input(0.7, s, rng.uniform(0.5, 2, 5)), None)
+        mu_out, sig_out = market_coefficients(out, 2)
         assert np.array_equal(mu_out, np.tile(mu, (5, 1)))
         assert np.array_equal(sig_out, np.tile(vol, (5, 1, 1)))
 
@@ -91,7 +94,8 @@ class TestForward:
         mu = np.array([0.1, 0.2])
         vol = np.array([[1.0, 2.0], [3.0, 4.0]])
         flat = market_head_bias(mu, vol)
-        # forward_market reads drift from the first d outputs, vol row-major after
+        # market_coefficients reads drift from the first d outputs, vol
+        # row-major after
         assert np.array_equal(mu, flat[:2])
         assert np.array_equal(vol, flat[2:].reshape(2, 2))
 
@@ -99,19 +103,21 @@ class TestForward:
         spec = market_spec(1, width=8)
         params = _init(spec, seed=5)
         net = build_net(spec)
-        a, _, _ = forward_market(net, params.arrays, 0, 0.1, np.array([[1.0]]),
-                                 np.ones(1), None)
-        b, _, _ = forward_market(net, params.arrays, 0, 0.1, np.array([[1.3]]),
-                                 np.ones(1), None)
-        assert not np.array_equal(a, b)
+
+        def drift(price):
+            inp = state_input(0.1, np.array([[price]]), np.ones(1))
+            return market_coefficients(net.apply(params.arrays, 0, inp, None)[0], 1)[0]
+
+        assert not np.array_equal(drift(1.0), drift(1.3))
 
     def test_time_grid_uses_per_step_parameters(self):
         spec = NetSpec(in_dim=3, out_dim=1, arch="time_grid", width=4, n_steps=3)
         params = _init(spec, seed=6)
         net = build_net(spec)
         s = np.array([[1.0]])
-        outs = {n: forward_policy(net, params.arrays, n, 0.0, s, np.ones(1),
-                                  None)[0][0, 0] for n in range(3)}
+        inp = state_input(0.0, s, np.ones(1))
+        outs = {n: net.apply(params.arrays, n, inp, None)[0][0, 0]
+                for n in range(3)}
         assert len(set(outs.values())) == 3
 
     def test_time_grid_gradients_touch_only_the_used_step(self):
@@ -119,8 +125,8 @@ class TestForward:
         params = _init(spec, seed=7)
         net = build_net(spec)
         tensors = {k: Tensor(v) for k, v in params.arrays.items()}
-        out, _ = forward_policy(net, tensors, 1, 0.0, Tensor(np.ones((2, 1))),
-                                Tensor(np.ones(2)), None)
+        inp = state_input(0.0, Tensor(np.ones((2, 1))), Tensor(np.ones(2)))
+        out, _ = net.apply(tensors, 1, inp, None)
         out.sum().backward()
         for name, t in tensors.items():
             if name.startswith("s1."):
@@ -135,12 +141,51 @@ class TestForward:
             params = _init(spec, seed=8)
             net = build_net(spec)
             s = np.random.default_rng(9).uniform(0.5, 2, size=(3, 1))
-            out_np, _ = forward_policy(net, params.arrays, 0, 0.2, s,
-                                       np.ones(3), None)
+            out_np, _ = net.apply(params.arrays, 0,
+                                  state_input(0.2, s, np.ones(3)), None)
             tensors = {k: Tensor(v) for k, v in params.arrays.items()}
-            out_t, _ = forward_policy(net, tensors, 0, 0.2, Tensor(s),
-                                      Tensor(np.ones(3)), None)
+            out_t, _ = net.apply(tensors, 0,
+                                 state_input(0.2, Tensor(s), Tensor(np.ones(3))), None)
             assert np.array_equal(out_np, raw(out_t))
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_time_grid_step_is_the_ffnn_on_that_steps_parameters(self, depth):
+        grid_spec = NetSpec(in_dim=4, out_dim=2, arch="time_grid", width=5,
+                            depth=depth, n_steps=3)
+        ffnn_spec = NetSpec(in_dim=4, out_dim=2, width=5, depth=depth)
+        params = _init(grid_spec, seed=10).arrays
+        grid_net, ffnn_net = build_net(grid_spec), build_net(ffnn_spec)
+        s = np.random.default_rng(11).uniform(0.5, 2, size=(6, 2))
+        x = np.linspace(0.8, 1.2, 6)
+        for n in range(3):
+            own = {k[len(f"s{n}."):]: v for k, v in params.items()
+                   if k.startswith(f"s{n}.")}
+            want, _ = ffnn_net.apply(own, n, state_input(0.4, s, x), None)
+            got, _ = grid_net.apply(params, n, state_input(0.4, s, x), None)
+            assert np.array_equal(got, want)
+            tensors = {k: Tensor(v) for k, v in params.items()}
+            got_t, _ = grid_net.apply(tensors, n,
+                                      state_input(0.4, Tensor(s), Tensor(x)), None)
+            own_t = {k: Tensor(v) for k, v in own.items()}
+            want_t, _ = ffnn_net.apply(own_t, n,
+                                       state_input(0.4, Tensor(s), Tensor(x)), None)
+            assert np.array_equal(raw(got_t), raw(want_t))
+            assert np.array_equal(raw(got_t), want)
+
+    @pytest.mark.parametrize("head_bias", [None, np.array([0.1, -0.2])])
+    def test_time_grid_init_is_successive_ffnn_inits(self, head_bias):
+        grid_spec = NetSpec(in_dim=4, out_dim=2, arch="time_grid", width=5,
+                            depth=2, n_steps=4)
+        ffnn_net = build_net(NetSpec(in_dim=4, out_dim=2, width=5, depth=2))
+        grid = _init(grid_spec, seed=12, head_bias=head_bias).arrays
+        rng = np.random.default_rng(12)
+        want = {}
+        for n in range(4):
+            step = ffnn_net.init(rng, head_bias=head_bias).arrays
+            want.update({f"s{n}.{k}": v for k, v in step.items()})
+        assert list(grid) == list(want)
+        for k in want:
+            assert grid[k].tobytes() == want[k].tobytes()
 
 
 class TestAdam:
@@ -154,7 +199,7 @@ class TestAdam:
     def test_first_step_closed_form(self):
         g = np.array([0.3, -2.0])
         params = ParamSet(arrays={"w": np.zeros(2)})
-        adam_step(params, {"w": g}, lr=0.01, eps=1e-8)
+        adam_step(params, {"w": g}, lr=0.01)
         expected = -0.01 * g / (np.abs(g) + 1e-8)
         assert np.allclose(params.arrays["w"], expected, rtol=1e-12)
 
@@ -231,9 +276,7 @@ class TestCheckpoint:
         sidecar = tmp_path / "ck.npz.json"
         save_checkpoint(path, gen, None, {"epoch": 0})
         before = {"npz": path.read_bytes(), "sidecar": sidecar.read_bytes()}
-        newer = gen.copy()
-        for arr in newer.arrays.values():
-            arr += 1.0
+        newer = ParamSet(arrays={k: v + 1.0 for k, v in gen.arrays.items()})
 
         def write_then_crash(obj, fh, **kw):
             fh.write(b"partial" if "b" in fh.mode else "partial")
@@ -265,10 +308,7 @@ def test_init_is_seed_deterministic():
         assert np.array_equal(a.arrays[k], b.arrays[k])
 
 
-def test_paramset_flat_and_copy():
+def test_paramset_n_params():
     ps = _init(policy_spec(1, width=4), seed=1)
     flat = np.concatenate([ps.arrays[k].ravel() for k in ps.names])
     assert flat.size == ps.n_params
-    cp = ps.copy()
-    cp.arrays[cp.names[0]][...] = 99.0
-    assert not np.array_equal(ps.arrays[ps.names[0]], cp.arrays[cp.names[0]])

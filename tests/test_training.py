@@ -152,12 +152,11 @@ class TestTrainLoop:
     def test_vol_robust_drift_head_pinned_at_reference(self):
         cfg = _config(mode="vol_robust", epochs=3)
         state = train(cfg, *_data(cfg))
-        from robustfolio.nets import build_net, forward_market
+        from robustfolio.nets import build_net, market_coefficients, state_input
         net = build_net(cfg.disc_spec())
         rng = np.random.default_rng(0)
-        mu, _, _ = forward_market(net, state.disc.arrays, 0, 0.4,
-                                  rng.uniform(0.5, 2, (7, 1)),
-                                  rng.uniform(0.5, 2, 7), None)
+        inp = state_input(0.4, rng.uniform(0.5, 2, (7, 1)), rng.uniform(0.5, 2, 7))
+        mu, _ = market_coefficients(net.apply(state.disc.arrays, 0, inp, None)[0], 1)
         assert np.array_equal(mu, np.full((7, 1), 0.035))
 
     def test_seed_determinism_bit_exact(self):
@@ -217,7 +216,9 @@ class TestTrainLoop:
         assert [r.val_metric for r in full.history] == \
                [r.val_metric for r in resumed.history]
 
-    def test_resume_refuses_a_torn_checkpoint(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("crash_epoch", [0, 1])
+    def test_resume_refuses_a_torn_checkpoint(self, tmp_path, monkeypatch,
+                                              crash_epoch):
         import json
 
         cfg = _config(mode="vol_robust", epochs=2)
@@ -225,7 +226,7 @@ class TestTrainLoop:
         real_dump = json.dump
 
         def dump_or_crash(doc, fh, **kwargs):
-            if doc.get("epoch") == 1 and "history" in doc:  # epoch 1's latest
+            if doc.get("epoch") == crash_epoch and "history" in doc:  # the latest
                 raise OSError("disk full")
             real_dump(doc, fh, **kwargs)
 
@@ -233,10 +234,15 @@ class TestTrainLoop:
         with pytest.raises(OSError, match="disk full"):
             train(cfg, *data, out_dir=str(tmp_path))
         monkeypatch.undo()
-        # epoch 1's parameters sit beside epoch 0's sidecar: 4 generator
-        # steps, where epoch 0's 4 alternating iterations imply 2
-        with pytest.raises(ValueError, match=r"checkpoint_latest\.npz holds 4 gen "
-                                             r"Adam steps, but its epoch 0 implies 2"):
+        message = {
+            # epoch 0's parameters without any sidecar
+            0: r"checkpoint_latest\.npz\.json is missing, .*--force restarts the run",
+            # epoch 1's parameters sit beside epoch 0's sidecar: 4 generator
+            # steps, where epoch 0's 4 alternating iterations imply 2
+            1: r"checkpoint_latest\.npz holds 4 gen Adam steps, but its epoch 0 "
+               r"implies 2",
+        }[crash_epoch]
+        with pytest.raises(ValueError, match=message):
             train(cfg, *data, out_dir=str(tmp_path), resume=True)
 
     def test_resume_refuses_a_mismatched_checkpoint(self, tmp_path):

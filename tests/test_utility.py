@@ -60,7 +60,7 @@ class TestPowerUtility:
 
     def test_graph_gradient_finite_below_floor(self):
         t = Tensor(np.array([-0.5]))
-        out = PowerUtility(1.0).graph(t, floor=1e-6)
+        out = PowerUtility(1.0).graph(t)
         out.sum().backward()
         assert np.isfinite(raw(out)).all()
         assert np.array_equal(t.grad, [0.0])
