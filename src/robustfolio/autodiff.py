@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .market import PRICE_FLOOR
-from .portfolio import step_wealth, sum_columns
+from .market import PRICE_FLOOR, euler_diffusion, sum_columns
+from .portfolio import step_wealth
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -447,7 +447,7 @@ def euler_wealth_step(s, x, pi, h_prev, mu, sigma, dw_n, dt_n, rate, costs):
     or (B, 1); ``mu`` (B, d) or (d,); ``sigma`` (B, d, d) or (d, d).  The
     forward pass is the generic composition's arithmetic in its order:
 
-        ds     = s * mu * dt_n + sum_j (s[:, :, None] * sigma * dw_n[:, None, :])
+        ds     = s * mu * dt_n + market.euler_diffusion(sigma, dw_n, s)
         x', h  = portfolio.step_wealth(x, pi, h_prev, s, ds, rate, dt_n, costs)
         s'     = max(s + ds, PRICE_FLOOR)
 
@@ -464,9 +464,7 @@ def euler_wealth_step(s, x, pi, h_prev, mu, sigma, dw_n, dt_n, rate, costs):
     sv, xv, piv, hpv = raw(s), raw(x), raw(pi), raw(h_prev)
     muv, sigv = raw(mu), raw(sigma)
     x_flat = xv.reshape(-1)
-    drift = sv * muv * dt_n
-    sdw = sv[:, :, None] * sigv * dw_n[:, None, :]
-    ds = drift + sum_columns(sdw)
+    ds = sv * muv * dt_n + euler_diffusion(sigv, dw_n, sv)
     x_next, h, traded, _ = step_wealth(x_flat, piv, hpv, sv, ds, rate, dt_n, costs)
     s_raw = sv + ds
     s_next = np.maximum(s_raw, PRICE_FLOOR)
@@ -529,7 +527,7 @@ def euler_wealth_step(s, x, pi, h_prev, mu, sigma, dw_n, dt_n, rate, costs):
         # ds = s mu dt + sum_j s sigma dw
         g_sdt = g_ds * dt_n
         g_s += g_sdt * muv
-        g_s += g_ds * sum_columns(sigv * dw_n[:, None, :])
+        g_s += g_ds * euler_diffusion(sigv, dw_n)
         if isinstance(mu, Tensor):
             _acc(mu, _unbroadcast(g_sdt * sv, muv.shape), True)
         if isinstance(sigma, Tensor):

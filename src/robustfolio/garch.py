@@ -272,16 +272,17 @@ def _garch_paths(grid: TimeGrid, s0, z: np.ndarray, mean, omega, alpha, beta,
     """Run the GARCH(1,1) recursion on correlated normals z of shape (B, N, d).
 
     The per-step parameters are (d,) or (B, d) and broadcast against each
-    step's (B, d) slice; h is the (B, d) starting variance.
+    step's (B, d) slice; h is the (B, d) starting variance.  Prices are
+    stored step-major, as in ``simulate_euler``.
     """
     b, n, d = z.shape
-    s = np.empty((b, n + 1, d))
-    s[:, 0, :] = np.broadcast_to(np.atleast_1d(np.asarray(s0, float)), (d,))
+    s = np.empty((n + 1, b, d))
+    s[0] = np.broadcast_to(np.atleast_1d(np.asarray(s0, float)), (d,))
     for k in range(n):
         eps = np.sqrt(h) * z[:, k, :]
-        s[:, k + 1, :] = s[:, k, :] * np.exp(mean + eps)
+        np.multiply(s[k], np.exp(mean + eps), out=s[k + 1])
         h = omega + alpha * eps ** 2 + beta * h
-    return PathBatch(grid=grid, s=s, floored=np.zeros(b, dtype=bool))
+    return PathBatch(grid=grid, s=s.transpose(1, 0, 2), floored=np.zeros(b, dtype=bool))
 
 
 def simulate_garch(model: GarchModel, grid: TimeGrid, s0, n_paths: int,

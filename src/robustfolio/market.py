@@ -15,6 +15,10 @@ Conventions
   is scaled by asset i's price.
 * Noise increments are stored as standard normals and scaled by sqrt(dt)
   only when consumed, so one dataset serves any compatible grid.
+* Storage is step-major: the Euler recursion scales the increments into an
+  (N, B, d) buffer and writes prices into an (N+1, B, d) one, so each step
+  reads and writes contiguous (B, d) blocks.  ``PathBatch.s`` is a
+  transposed view of that buffer with the path-major shape (B, N+1, d).
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import numpy as np
 from .atomic import atomic_write
 
 PRICE_FLOOR = 1e-8
+SUM_COLUMNS_MAX = 8  # np.sum adds fewer columns than this one by one
 
 _MAGIC = b"RGPN1"
 
@@ -112,11 +117,65 @@ class ReferenceMarket:
 
 
 # ----------------------------------------------------------------------
+# row sums of the Euler, wealth and training steps
+# ----------------------------------------------------------------------
+def sum_columns(a: np.ndarray) -> np.ndarray:
+    """``np.sum(a, axis=-1)`` with the same bits, made cheap on short axes.
+
+    Below ``SUM_COLUMNS_MAX`` columns numpy adds them left to right onto
+    +0.0; this does the same with one vectorized add per column, which
+    costs far less than a reduction call on a length-2 axis.  Longer axes
+    go to ``np.sum``, which sums them pairwise.
+    """
+    d = a.shape[-1]
+    if d >= SUM_COLUMNS_MAX:
+        return np.sum(a, axis=-1)
+    out = a[..., 0] + 0.0  # +0.0 turns a lone -0.0 into 0.0, as np.sum does
+    for k in range(1, d):
+        out += a[..., k]
+    return out
+
+
+def euler_diffusion(sigma: np.ndarray, dw: np.ndarray, s=None) -> np.ndarray:
+    """The Euler step's diffusion ``sum_j (s_i sigma_ij) dw_j``, shape (B, d).
+
+    ``sigma`` is (d, d) or (B, d, d), ``dw`` and ``s`` are (B, d); without
+    ``s`` the price factor is left out.  The bits are those of
+    ``np.sum((s[:, :, None] * sigma) * dw[:, None, :], axis=2)``, formed
+    without the (B, d, d) product: below ``SUM_COLUMNS_MAX`` assets column j
+    is ``(s * sigma[..., :, j]) * dw[:, j]``, added left to right onto +0.0
+    as in ``sum_columns``; longer rows keep np.sum's pairwise form.
+    """
+    d = dw.shape[-1]
+    if d >= SUM_COLUMNS_MAX:
+        a = sigma if s is None else s[:, :, None] * sigma
+        return np.sum(a * dw[:, None, :], axis=-1)
+
+    def column(j):
+        c = sigma[..., :, j] if s is None else s * sigma[..., :, j]
+        return c * dw[:, j, None]
+
+    out = column(0) + 0.0  # +0.0 turns a lone -0.0 into 0.0, as np.sum does
+    for j in range(1, d):
+        out += column(j)
+    return out
+
+
+# ----------------------------------------------------------------------
 # driving noise
 # ----------------------------------------------------------------------
 def substream(seed: int, k: int) -> int:
     """Seed of the k-th independent substream derived from ``seed``."""
     return int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
+
+
+def brownian_steps(z: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """Standard normals z of shape (B, N, d) scaled by sqrt(dt) into one
+    step-major (N, B, d) buffer: dw[n] is a contiguous (B, d) block."""
+    b, n_steps, d = z.shape
+    dw = np.empty((n_steps, b, d))
+    np.multiply(z.transpose(1, 0, 2), np.sqrt(dt)[:, None, None], out=dw)
+    return dw
 
 
 @dataclass
@@ -165,10 +224,11 @@ class NoiseIncrements:
         return cls(z=z, seed=seed)
 
     def brownian(self, grid: TimeGrid) -> np.ndarray:
-        """sqrt(dt)-scaled increments dW, shape (paths, steps, d)."""
+        """sqrt(dt)-scaled increments dW, shape (paths, steps, d): a
+        transposed view of ``brownian_steps``' step-major buffer."""
         if grid.n_steps != self.n_steps:
             raise MarketError("grid/increment step mismatch")
-        return self.z * np.sqrt(grid.dt)[None, :, None]
+        return brownian_steps(self.z, grid.dt).transpose(1, 0, 2)
 
     def subset(self, idx) -> "NoiseIncrements":
         return NoiseIncrements(z=self.z[idx], seed=self.seed)
@@ -237,8 +297,10 @@ class PathParams:
 class PathBatch:
     """Simulated asset paths on a grid, plus bookkeeping.
 
-    ``s`` has shape (paths, n_steps+1, d) and starts at the initial price.
-    ``floored`` flags paths where the price floor was hit.
+    ``s`` has shape (paths, n_steps+1, d) and starts at the initial price;
+    the Euler and GARCH recursions return it as a transposed view of their
+    step-major (n_steps+1, paths, d) buffer.  ``floored`` flags paths where
+    the price floor was hit.
     """
 
     grid: TimeGrid
@@ -264,7 +326,8 @@ def simulate_euler(grid: TimeGrid, params, s0, increments: NoiseIncrements) -> P
     ``params`` provides relative per-step coefficients via
     ``params.at(n) -> (mu_n, sigma_n)`` with shapes broadcastable to
     (B, d) and (B, d, d).  If a step would push a price to zero or below
-    it is clamped at PRICE_FLOOR and the path flagged.
+    it is clamped at PRICE_FLOOR and the path flagged.  Prices are filled
+    step by step into an (N+1, B, d) buffer; ``s`` is its transposed view.
     """
     s0 = np.atleast_1d(np.asarray(s0, dtype=np.float64))
     d = s0.shape[0]
@@ -273,9 +336,9 @@ def simulate_euler(grid: TimeGrid, params, s0, increments: NoiseIncrements) -> P
     b, n_steps = increments.n_paths, increments.n_steps
     if n_steps != grid.n_steps:
         raise MarketError("increment steps do not match grid")
-    dw = increments.brownian(grid)
-    s = np.empty((b, n_steps + 1, d), dtype=np.float64)
-    s[:, 0, :] = s0
+    dw = brownian_steps(increments.z, grid.dt)
+    s = np.empty((n_steps + 1, b, d), dtype=np.float64)
+    s[0] = s0
     floored = np.zeros(b, dtype=bool)
     for n in range(n_steps):
         mu_n, sig_n = params.at(n)
@@ -283,16 +346,14 @@ def simulate_euler(grid: TimeGrid, params, s0, increments: NoiseIncrements) -> P
         sig_n = np.asarray(sig_n, dtype=np.float64)
         if not (np.all(np.isfinite(mu_n)) and np.all(np.isfinite(sig_n))):
             raise MarketError(f"non-finite market parameters at step {n}")
-        sn = s[:, n, :]
-        drift = sn * mu_n * grid.dt[n]
-        diffusion = ((sn[:, :, None] * sig_n) * dw[:, n, None, :]).sum(axis=2)
-        nxt = sn + drift + diffusion
+        sn, nxt = s[n], s[n + 1]
+        np.add(sn, sn * mu_n * grid.dt[n], out=nxt)
+        nxt += euler_diffusion(sig_n, dw[n], sn)
         low = nxt <= PRICE_FLOOR
         if low.any():
             floored |= low.any(axis=1)
-            nxt = np.maximum(nxt, PRICE_FLOOR)
-        s[:, n + 1, :] = nxt
-    return PathBatch(grid=grid, s=s, floored=floored)
+            np.maximum(nxt, PRICE_FLOOR, out=nxt)
+    return PathBatch(grid=grid, s=s.transpose(1, 0, 2), floored=floored)
 
 
 # ----------------------------------------------------------------------

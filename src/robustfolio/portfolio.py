@@ -23,27 +23,9 @@ from typing import Any, Protocol
 
 import numpy as np
 
-from .market import PathBatch
+from .market import PathBatch, sum_columns
 
 TRADE_TOL = 1e-12  # float noise must not trigger base costs
-SUM_COLUMNS_MAX = 8  # np.sum adds fewer columns than this one by one
-
-
-def sum_columns(a: np.ndarray) -> np.ndarray:
-    """``np.sum(a, axis=-1)`` with the same bits, made cheap on short axes.
-
-    Below ``SUM_COLUMNS_MAX`` columns numpy adds them left to right onto
-    +0.0; this does the same with one vectorized add per column, which
-    costs far less than a reduction call on a length-2 axis.  Longer axes
-    go to ``np.sum``, which sums them pairwise.
-    """
-    d = a.shape[-1]
-    if d >= SUM_COLUMNS_MAX:
-        return np.sum(a, axis=-1)
-    out = a[..., 0] + 0.0  # +0.0 turns a lone -0.0 into 0.0, as np.sum does
-    for k in range(1, d):
-        out += a[..., k]
-    return out
 
 
 @dataclass(frozen=True)
@@ -124,7 +106,7 @@ class ConstantWeightPolicy:
 
 @dataclass
 class WealthLedger:
-    """Per-path record of one policy roll-out."""
+    """Per-path record of one policy roll-out (views of step-major buffers)."""
 
     x: np.ndarray  # (B, N+1) portfolio values
     weights: np.ndarray  # (B, N, d)
@@ -146,38 +128,45 @@ def roll_out(policy: Policy, paths: PathBatch, x0: float, rate: float,
     The policy sees only (step, time, current prices, current wealth) plus
     whatever state it carries itself.  Simulation continues after a default
     so the full trajectory is available; the flag marks the first hit.
+    Storage is step-major: each step reads its prices once from
+    ``paths.s.transpose(1, 0, 2)`` (contiguous for Euler and GARCH paths)
+    and writes contiguous rows of (N+1, B) and (N, B, d) ledger buffers;
+    the returned fields are their transposed views, shaped (B, ...).
     """
     grid = paths.grid
     b, d = paths.n_paths, paths.d
     n_steps = grid.n_steps
     times = grid.times
+    s_steps = paths.s.transpose(1, 0, 2)
     x = np.full(b, float(x0))
     h_prev = np.zeros((b, d))
-    ledger_x = np.empty((b, n_steps + 1))
-    ledger_x[:, 0] = x
-    w_rec = np.empty((b, n_steps, d))
-    h_rec = np.empty((b, n_steps, d))
-    a_rec = np.empty((b, n_steps, d))
-    c_rec = np.empty((b, n_steps))
+    ledger_x = np.empty((n_steps + 1, b))
+    ledger_x[0] = x
+    w_rec = np.empty((n_steps, b, d))
+    h_rec = np.empty((n_steps, b, d))
+    a_rec = np.empty((n_steps, b, d))
+    c_rec = np.empty((n_steps, b))
     default_step = np.full(b, -1, dtype=np.int64)
     state = policy.reset(b)
+    s_n = s_steps[0]
     for n in range(n_steps):
-        s_n = paths.s[:, n, :]
         pi, state = policy.weights(n, times[n], s_n, x, state)
         pi = np.asarray(pi, dtype=np.float64)
         if not np.all(np.isfinite(pi)):
             bad = int(np.flatnonzero(~np.isfinite(pi).all(axis=1))[0])
             raise ValueError(f"policy produced non-finite weights on path {bad} at step {n}")
-        ds = paths.s[:, n + 1, :] - s_n
-        x, h_prev, traded, cost = step_wealth(x, pi, h_prev, s_n, ds, rate,
-                                              grid.dt[n], costs)
-        ledger_x[:, n + 1] = x
-        w_rec[:, n] = pi
-        h_rec[:, n] = h_prev
-        a_rec[:, n] = traded
-        c_rec[:, n] = cost if np.ndim(cost) else 0.0
+        s_next = s_steps[n + 1]
+        x, h_prev, traded, cost = step_wealth(x, pi, h_prev, s_n, s_next - s_n,
+                                              rate, grid.dt[n], costs)
+        ledger_x[n + 1] = x
+        w_rec[n] = pi
+        h_rec[n] = h_prev
+        a_rec[n] = traded
+        c_rec[n] = cost
         newly = (x <= 0) & (default_step < 0)
         default_step[newly] = n + 1
-    return WealthLedger(x=ledger_x, weights=w_rec, holdings=h_rec, traded=a_rec,
-                        step_costs=c_rec, defaulted=default_step >= 0,
-                        default_step=default_step)
+        s_n = s_next
+    return WealthLedger(x=ledger_x.T, weights=w_rec.transpose(1, 0, 2),
+                        holdings=h_rec.transpose(1, 0, 2),
+                        traded=a_rec.transpose(1, 0, 2), step_costs=c_rec.T,
+                        defaulted=default_step >= 0, default_step=default_step)

@@ -29,8 +29,8 @@ import numpy as np
 from .atomic import atomic_write
 from .autodiff import Tensor, euler_wealth_step, raw, stack
 from .evaluation import expected_utility_on
-from .market import (ConstantParams, ReferenceMarket, TimeGrid, make_noisy_pool,
-                     simulate_euler, stack_scenarios, substream)
+from .market import (ConstantParams, ReferenceMarket, TimeGrid, brownian_steps,
+                     make_noisy_pool, simulate_euler, stack_scenarios, substream)
 from .nets import (NeuralPolicy, ParamSet, adam_step, build_net, load_checkpoint,
                    lr_schedule, market_coefficients, market_head_bias, market_spec,
                    policy_spec, save_checkpoint, state_input)
@@ -163,9 +163,7 @@ def forward_episode(z_batch: np.ndarray, gen_params, disc_params,
     b, n_steps, d = z_batch.shape
     dt = grid.dt
     times = grid.times
-    # Brownian increments, time-major: dw[n] is one contiguous (B, d) block
-    dw = np.empty((n_steps, b, d))
-    np.multiply(z_batch.transpose(1, 0, 2), np.sqrt(dt)[:, None, None], out=dw)
+    dw = brownian_steps(z_batch, dt)  # step-major: dw[n] is one (B, d) block
     gen_net = build_net(cfg.gen_spec())
     disc_net = build_net(cfg.disc_spec())
 
@@ -324,7 +322,8 @@ def train(cfg: TrainConfig, z_train, z_val=None, out_dir=None,
                 best = BestSnapshot(arrays=bg.arrays, metric=meta["best_metric"],
                                     epoch=meta["best_epoch"])
 
-    val_batch = validation_paths(cfg, z_val)
+    # a finished run (a resume past its last epoch) simulates nothing
+    val_batch = validation_paths(cfg, z_val) if start_epoch < cfg.epochs else None
     iteration = start_epoch * batches_per_epoch
 
     for epoch in range(start_epoch, cfg.epochs):

@@ -299,6 +299,28 @@ class TestTrainLoop:
                      "checkpoint_latest.npz.json", "checkpoint_best.npz"):
             assert (run / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
+    def test_resuming_a_finished_run_simulates_no_validation_paths(
+            self, tmp_path, monkeypatch):
+        cfg = _config(mode="vol_robust", epochs=2, val_kind="noisy_pool")
+        data = _data(cfg)
+        done = train(cfg, *data, out_dir=str(tmp_path))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert {"metrics.csv", "checkpoint_latest.npz", "checkpoint_latest.npz.json",
+                "checkpoint_best.npz", "checkpoint_best.npz.json"} <= set(before)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return validation_paths(*args)
+
+        monkeypatch.setattr(training, "validation_paths", counted)
+        resumed = train(cfg, *data, out_dir=str(tmp_path), resume=True)
+        assert calls == []
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert resumed.history == done.history and resumed.best.epoch == done.best.epoch
+        for k in done.gen.names:
+            assert resumed.gen.arrays[k].tobytes() == done.gen.arrays[k].tobytes()
+
     def test_metrics_csv_written(self, tmp_path):
         cfg = _config(mode="non_robust", epochs=2)
         train(cfg, *_data(cfg), out_dir=str(tmp_path))
